@@ -11,7 +11,10 @@ import os
 
 DEFAULT_EXACT_LIMIT = 22
 
-MIXING_SUPPORT_LIMIT = 2 ** 14
+# Bytes of dense m x m arrays an exact mixing-time computation may hold at
+# once: 2 GiB admits 4096 support states (the 12-site cycle) on an 8 GB
+# machine and refuses 8192.
+MIXING_BYTE_BUDGET = 2 ** 31
 
 
 class CapacityError(Exception):

@@ -209,33 +209,6 @@ def emit_series(path, header: Optional[Sequence[str]], rows: Sequence[Sequence])
     return str(path)
 
 
-def dump_distribution(path, dist: DenseDistribution) -> str:
-    rows = [(int(i), float(p)) for i, p in enumerate(dist.prob)]
-    return emit_series(path, ("config_index", "probability"), rows)
-
-
-def dump_matrix(path, matrix: np.ndarray) -> str:
-    m = np.asarray(matrix, dtype=np.float64)
-    rows = [tuple(float(x) for x in row) for row in m]
-    return emit_series(path, None, rows)
-
-
-def dump_spectrum(path, eigs) -> str:
-    vals = sorted((complex(z) for z in eigs), key=lambda z: (-z.real, z.imag))
-    rows = [(z.real, z.imag) for z in vals]
-    return emit_series(path, ("re", "im"), rows)
-
-
-def dump_levels(path, levels) -> str:
-    rows = []
-    for j in range(levels.k + 1):
-        probs = level_distribution(levels, j)
-        for mask, p in zip(levels.faces[j], probs):
-            face = "|".join(str(e) for e in mask_bits(mask))
-            rows.append((j, face, float(p)))
-    return emit_series(path, ("level", "face", "probability"), rows)
-
-
 def model_fingerprint(model: IsingModel) -> str:
     canon = json_17g(model_to_json(model))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
@@ -417,19 +390,6 @@ def _suite_hf(model, dist, cfg, inst):
     return checks, payload, series
 
 
-def _product_from_fields(model) -> DenseDistribution:
-    """Edge-free companion distribution with the model's fields."""
-    n = model.n
-    idx = np.arange(1 << n, dtype=np.int64)
-    prob = np.ones(1 << n)
-    for v in range(n):
-        lam = model.lam[v]
-        p_plus = lam / (1.0 + lam)
-        plus = ((idx >> v) & 1) == 1
-        prob = np.where(plus, prob * p_plus, prob * (1.0 - p_plus))
-    return DenseDistribution(n, prob)
-
-
 def _suite_walks(model, dist, cfg, inst):
     checks: List[CheckReport] = []
     n = dist.n
@@ -437,7 +397,7 @@ def _suite_walks(model, dist, cfg, inst):
         return [CheckReport("walks-capacity", inst, 0.0, 0.0, 0.0, True,
                             witness="skipped: homogenization above capacity")], {}, []
 
-    product = _product_from_fields(model)
+    product = enumerate_gibbs(IsingModel(model.n, (), model.beta, model.lam))
     hom_prod = homogenize(product)
     prod_levels = levels_from_homogenized(hom_prod)
     k = prod_levels.k
@@ -554,14 +514,13 @@ def _suite_verification(model, dist, cfg, inst):
     return list(rep.checks) + extra, payload, []
 
 
-def _suite_mixing(model, dist, cfg, inst):
-    eps = 0.25
+def _mixing_report(dist, eps: float, restarts: int, seed: int) -> dict:
+    """Exact mixing time beside the MLS estimate and the bound it implies."""
     t_mix = mixing_time_exact(dist, eps)
-    est = mls_estimate(dist, restarts=min(8, max(2, cfg.batch)), seed=cfg.seed)
+    est = mls_estimate(dist, restarts=restarts, seed=seed)
     mu_min = dist.min_support_prob
     bound = mls_mixing_bound(est.rho_hat, mu_min, eps) if mu_min <= math.exp(-1.0) else None
-    lam_ratio = 2.0 * float(np.max(model.lam) / np.min(model.lam))
-    report = {
+    return {
         "epsilon": eps,
         "t_mix_exact": t_mix,
         "rho_hat": est.rho_hat,
@@ -569,6 +528,12 @@ def _suite_mixing(model, dist, cfg, inst):
         "mls_bound_optimistic": bound,
         "mu_min": mu_min,
     }
+
+
+def _suite_mixing(model, dist, cfg, inst):
+    report = _mixing_report(dist, 0.25, min(8, max(2, cfg.batch)), cfg.seed)
+    t_mix = report["t_mix_exact"]
+    lam_ratio = 2.0 * float(np.max(model.lam) / np.min(model.lam))
     checks: List[CheckReport] = []
     tm = transition_matrix(dist, validate=False)
     if tm.size <= 2048:
@@ -727,21 +692,8 @@ def sample_command(model_path, steps, seed, thin, init, out_path) -> None:
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 def mix_command(model_path, eps, seed) -> None:
     """Print the exact mixing time report for a model."""
-    model = load_model(model_path)
-    dist = enumerate_gibbs(model)
-    t_mix = mixing_time_exact(dist, eps)
-    est = mls_estimate(dist, restarts=8, seed=seed)
-    mu_min = dist.min_support_prob
-    bound = mls_mixing_bound(est.rho_hat, mu_min, eps) if mu_min <= math.exp(-1.0) else None
-    report = {
-        "epsilon": eps,
-        "t_mix_exact": t_mix,
-        "rho_hat": est.rho_hat,
-        "rho_hat_method": est.method,
-        "mls_bound_optimistic": bound,
-        "mu_min": mu_min,
-    }
-    click.echo(json_17g(report))
+    dist = enumerate_gibbs(load_model(model_path))
+    click.echo(json_17g(_mixing_report(dist, eps, restarts=8, seed=seed)))
 
 
 if __name__ == "__main__":

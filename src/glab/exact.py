@@ -316,31 +316,6 @@ def kl_divergence(nu: DenseDistribution, mu: DenseDistribution) -> float:
     return max(0.0, float(np.sum(nu.prob[on] * (np.log(nu.prob[on]) - np.log(mu.prob[on])))))
 
 
-def covariance_f_logf(dist: DenseDistribution, f: FunctionLike) -> float:
-    """Doubled pair sum (1/2) sum_{s,t} mu(s)mu(t)(f(s)-f(t))(log f(s)-log f(t)).
-
-    Rejects functions vanishing anywhere on the support: the pair sum is
-    undefined there, and callers that want 0-tolerant entropies should use
-    entropy_functional instead.
-    """
-    vals = as_values(f, dist.n)
-    on = dist.prob > 0
-    if np.any(vals[on] <= 0):
-        raise ValueError("covariance_f_logf requires f > 0 on the support")
-    p = dist.prob[on]
-    fv = vals[on]
-    lf = np.log(fv)
-    if p.size <= 2048:
-        df = fv[:, None] - fv[None, :]
-        dl = lf[:, None] - lf[None, :]
-        return max(0.0, 0.5 * float(np.sum((p[:, None] * p[None, :]) * df * dl)))
-    # algebraically identical expansion for large supports
-    ef = float(np.sum(p * fv))
-    el = float(np.sum(p * lf))
-    eflf = float(np.sum(p * fv * lf))
-    return max(0.0, eflf - ef * el)
-
-
 def total_variation(a: DenseDistribution, b: DenseDistribution) -> float:
     if a.n != b.n:
         raise ValueError("distributions must live on the same sites")

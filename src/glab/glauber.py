@@ -20,9 +20,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import minimize, minimize_scalar
+# unused, but perfbench/tracer.py wraps glauber.minimize_scalar by name
+from scipy.optimize import minimize, minimize_scalar  # noqa: F401
 
-from .capacity import MIXING_SUPPORT_LIMIT, CapacityError
+from .capacity import MIXING_BYTE_BUDGET, CapacityError
 from .exact import (
     DenseDistribution,
     FieldAssignment,
@@ -34,11 +35,13 @@ from .exact import (
     expected_site_ment,
     magnetize,
     marginal,
+    popcount_table,
 )
 from .factorization import CheckReport
 from .model import IsingModel, flip_direction
 from .spectral import dobrushin_matrix
 from .rng import derive_generator, uniform_pairs
+from .walks import mask_bits
 
 EXTREME_FIELD = 1.0 / 500.0
 
@@ -50,15 +53,13 @@ class TransitionMatrix:
     n: int
     support: np.ndarray          # config indices, ascending
     stationary: np.ndarray       # stationary law over support states
-    matrix: object               # dense ndarray or scipy CSR
+    matrix: sp.csr_matrix
 
     @property
     def size(self) -> int:
         return int(self.support.size)
 
     def dense(self) -> np.ndarray:
-        if isinstance(self.matrix, np.ndarray):
-            return self.matrix
         return self.matrix.toarray()
 
     def symmetrized_eigenvalues(self) -> np.ndarray:
@@ -106,11 +107,7 @@ def transition_matrix(dist: DenseDistribution, validate: bool = True) -> Transit
     r = np.concatenate(rows)
     c = np.concatenate(cols)
     w = np.concatenate(vals)
-    if m <= 2048:
-        matrix = np.zeros((m, m))
-        np.add.at(matrix, (r, c), w)
-    else:
-        matrix = sp.coo_matrix((w, (r, c)), shape=(m, m)).tocsr()
+    matrix = sp.coo_matrix((w, (r, c)), shape=(m, m)).tocsr()
 
     tm = TransitionMatrix(n=n, support=support, stationary=ps, matrix=matrix)
     if validate:
@@ -119,13 +116,9 @@ def transition_matrix(dist: DenseDistribution, validate: bool = True) -> Transit
 
 
 def _validate_reversibility(tm: TransitionMatrix, tol: float = 1e-12) -> None:
-    if isinstance(tm.matrix, np.ndarray):
-        flow = tm.matrix * tm.stationary[:, None]
-        err = float(np.max(np.abs(flow - flow.T)))
-    else:
-        flow = sp.diags(tm.stationary) @ tm.matrix
-        diff = (flow - flow.T).tocoo()
-        err = float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
+    flow = sp.diags(tm.stationary) @ tm.matrix
+    diff = (flow - flow.T).tocoo()
+    err = float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
     scale = float(np.max(tm.stationary))
     if err > tol * max(1.0, scale * tm.size):
         raise AssertionError(f"detailed balance violated by {err}")
@@ -210,7 +203,7 @@ class MlsEstimate:
     rho_hat: float
     minimizer: np.ndarray
     restarts: int
-    method: str = "multistart coordinate descent with gradient polish (upper bound)"
+    method: str = "multistart BFGS (upper bound)"
 
     def to_json(self) -> dict:
         return {
@@ -251,14 +244,14 @@ def mls_estimate(
     dist: DenseDistribution,
     restarts: int = 32,
     seed: int = 0,
-    cd_sweeps: int = 2,
     label: str = "mls-estimate",
 ) -> MlsEstimate:
     """Minimize the Dirichlet-to-entropy ratio over f = exp(g).
 
-    Multi-start: each restart draws a Gaussian g, runs a few sweeps of
-    coordinate descent, then polishes with a gradient-based minimizer.
-    The reported minimizer is normalized to mean one.
+    Multi-start: each restart draws a Gaussian g and runs BFGS on the
+    ratio with its analytic gradient.  The best value found is rho_hat,
+    an upper bound on the true infimum.  The reported minimizer is
+    normalized to mean one.
     """
     support = dist.support_indices
     m = support.size
@@ -275,19 +268,6 @@ def mls_estimate(
     for r in range(restarts):
         gen = derive_generator(seed, label, r)
         g = gen.normal(0.0, 1.2, size=m)
-        for _ in range(cd_sweeps):
-            for coord in range(m):
-                def fun1(x: float, c=coord, base=g) -> float:
-                    gg = base.copy()
-                    gg[c] = x
-                    return objective(gg)[0]
-
-                res = minimize_scalar(
-                    fun1, bounds=(g[coord] - 5.0, g[coord] + 5.0), method="bounded",
-                    options={"xatol": 1e-6},
-                )
-                if res.fun < objective(g)[0]:
-                    g[coord] = float(res.x)
         res = minimize(objective, g, jac=True, method="BFGS",
                        options={"maxiter": 400, "gtol": 1e-12})
         cand = float(res.fun)
@@ -402,16 +382,20 @@ def stationary_distance_profile(tm: TransitionMatrix, power: np.ndarray) -> floa
 def mixing_time_exact(dist: DenseDistribution, eps: float, max_doublings: int = 40) -> int:
     """Smallest t with worst-start TV distance at most eps.
 
-    Exact dense computation; the support size is capped.  Worst-start TV
-    is nonincreasing in t, so doubling brackets the answer and a linear
-    scan inside the bracket finds it.
+    Exact dense computation over m support states, capped by a byte
+    budget.  Worst-start TV is nonincreasing in t, so doubling brackets
+    the answer and a linear scan inside the bracket finds it.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0,1)")
-    support = dist.support_indices
-    m = support.size
-    if m > MIXING_SUPPORT_LIMIT:
-        raise CapacityError(f"support size {m} exceeds the mixing limit {MIXING_SUPPORT_LIMIT}")
+    m = int(dist.support_indices.size)
+    # live m x m float64 arrays at the peak: the kernel, the identity, the
+    # bracketing powers, a new product and two TV temporaries
+    need = 7 * 8 * m * m
+    if need > MIXING_BYTE_BUDGET:
+        raise CapacityError(
+            f"mixing over {m} support states needs {need} bytes of dense "
+            f"arrays, above the budget of {MIXING_BYTE_BUDGET} bytes")
     tm = transition_matrix(dist, validate=False)
     p_dense = tm.dense()
     ident = np.eye(m)
@@ -657,7 +641,6 @@ class VerificationReport:
     dobrushin_bound: float
     mu_min: float
     mu_min_bound: float
-    pinned_instances: int
     checks: Tuple[CheckReport, ...]
     passed: bool
 
@@ -675,7 +658,6 @@ class VerificationReport:
             "dobrushin_bound": self.dobrushin_bound,
             "mu_min": self.mu_min,
             "mu_min_bound": self.mu_min_bound,
-            "pinned_instances": self.pinned_instances,
             "checks": [c.to_json() for c in self.checks],
             "pass": self.passed,
         }
@@ -690,10 +672,14 @@ def verification_bounds_check(model: IsingModel, delta: float, instance: str = "
         inf-norm at most 3/5;
     (3) the base model's smallest probability is at least
         (lambda_min / (14000 lambda_max))^n.
-    """
-    import itertools
 
-    from .exact import enumerate_gibbs, site_conditional_plus
+    For (2) one unpinned matrix suffices.  A pinned sub-instance compares
+    the same full-boundary conditionals, over fewer boundary pairs, so its
+    matrix is entrywise at most the unpinned one restricted to the free
+    sites, and its norms are at most the unpinned norms.  The empty
+    pinning attains them.  marginal_lower_bound rests on the same fact.
+    """
+    from .exact import enumerate_gibbs
     from .model import in_delta_interior
 
     n = model.n
@@ -714,29 +700,8 @@ def verification_bounds_check(model: IsingModel, delta: float, instance: str = "
     alpha = marginal_lower_bound(extreme)
     alpha_bound = c_hyp / 2e4
 
-    worst_norm = 0.0
-    instances = 0
-    for free_size in range(1, n + 1):
-        for free in itertools.combinations(range(n), free_size):
-            pinned_sites = tuple(v for v in range(n) if v not in free)
-            for assignment in range(1 << len(pinned_sites)):
-                spins = tuple(
-                    1 if (assignment >> t) & 1 else -1 for t in range(len(pinned_sites))
-                )
-                if pinned_sites:
-                    sub = marginal(condition(extreme, Pinning(pinned_sites, spins)), free)
-                else:
-                    sub = extreme
-                a = dobrushin_matrix(sub)
-                if a.size:
-                    worst_norm = max(
-                        worst_norm,
-                        float(np.max(np.sum(np.abs(a), axis=0))),
-                        float(np.max(np.sum(np.abs(a), axis=1))),
-                    )
-                instances += 1
-                if not pinned_sites:
-                    break
+    a = np.abs(dobrushin_matrix(extreme))
+    worst_norm = max(float(np.max(np.sum(a, axis=0))), float(np.max(np.sum(a, axis=1))))
 
     mu_min = base.min_support_prob
     mu_min_bound = (lam_min / (14000.0 * lam_max)) ** n
@@ -762,7 +727,6 @@ def verification_bounds_check(model: IsingModel, delta: float, instance: str = "
         dobrushin_bound=3.0 / 5.0,
         mu_min=mu_min,
         mu_min_bound=mu_min_bound,
-        pinned_instances=instances,
         checks=checks,
         passed=all(c.passed for c in checks),
     )
@@ -798,35 +762,22 @@ def compare_identity_check(
     from .factorization import superset_sums
 
     sup_p = superset_sums(pi.prob, n)
+    sizes = popcount_table(n)
     lhs = 0.0
     for r_mask in range(1 << n):
         mass = sup_p[r_mask]
         if mass <= 0:
             continue
-        size = bin(r_mask).count("1")
+        size = int(sizes[r_mask])
         weight = math.exp(size * log_one_minus + (n - size) * log_theta)
-        pinned = condition(pi, Pinning.all_plus(mask_sites(r_mask)))
+        pinned = condition(pi, Pinning.all_plus(mask_bits(r_mask)))
         lhs += weight * mass * expected_site_ment(pinned, vals, v)
 
     # boundary-average route
     mass, ment = site_ment_profile(pi, vals, v)
-    b = np.arange(1 << (n - 1), dtype=np.int64)
-    plus = np.zeros(b.shape, dtype=np.int64)
-    for t in range(n - 1):
-        plus += (b >> t) & 1
+    plus = popcount_table(n - 1)
     rhs = float(np.sum(mass * np.exp((n - plus) * log_theta) * ment))
     return CheckReport.eq(name, instance, lhs, rhs)
-
-
-def mask_sites(mask: int) -> Tuple[int, ...]:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return tuple(out)
 
 
 def margin_monotonicity_violation(dist: DenseDistribution, theta: float) -> float:
@@ -900,10 +851,7 @@ def tensorization_change_base_check(
     pi = magnetize(dist, FieldAssignment.uniform(n, theta))
     z_pi = magnetized_partition(dist, theta)
     mass, ment = site_ment_profile(pi, vals, v)
-    b = np.arange(1 << (n - 1), dtype=np.int64)
-    plus = np.zeros(b.shape, dtype=np.int64)
-    for t in range(n - 1):
-        plus += (b >> t) & 1
+    plus = popcount_table(n - 1)
     lhs = float(np.sum(mass * np.exp(-plus * math.log(theta)) * ment))
     rhs = expected_site_ment(dist, vals, v) / z_pi
     return CheckReport.le(name, instance, lhs, rhs, constant=1.0 / z_pi)

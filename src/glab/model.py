@@ -91,15 +91,6 @@ class IsingModel:
         return IsingModel(self.n, self.edges, self.beta, np.asarray(lam, dtype=np.float64), self.delta)
 
 
-def log_gibbs_weight(model: IsingModel, spins: np.ndarray) -> float:
-    """log of the unnormalized weight of one +-1 configuration."""
-    spins = np.asarray(spins)
-    if spins.shape != (model.n,) or not np.all(np.abs(spins) == 1):
-        raise ValueError("configuration must be a +-1 vector of length n")
-    mono = sum(1 for u, v in model.edges if spins[u] == spins[v])
-    return mono * math.log(model.beta) + float(np.sum(np.log(model.lam[spins > 0])))
-
-
 def log_weight_table(model: IsingModel) -> np.ndarray:
     """Vector of log-weights over all 2^n bit-packed configurations."""
     from .capacity import check_site_count

@@ -111,10 +111,6 @@ def lifted_entropy_identity(dist: DenseDistribution, k: int, f: FunctionLike) ->
     return base_ent, lifted_ent
 
 
-def pinned_sites_of(pin: Pinning) -> Tuple[int, ...]:
-    return pin.sites
-
-
 def pinning_pushforward_pair(
     dist: DenseDistribution, k: int, pin: Pinning
 ) -> Tuple[DenseDistribution, DenseDistribution]:

@@ -130,3 +130,30 @@ def oracle_tmix(dist, eps):
         t += 1
         if t > 1_000_000:
             raise RuntimeError("oracle did not mix")
+
+
+def oracle_pinned_dobrushin_worst(dist):
+    """Worst one- or inf-norm of the Dobrushin matrix over every pinning.
+
+    Sweeps all 3^n - 2^n pinned sub-instances with at least one free site.
+    Unlike the dict routines above it reuses the package's condition,
+    marginal and dobrushin_matrix (each checked against those routines
+    elsewhere): it checks the argument that the unpinned matrix bounds
+    every pinning, not the arithmetic.
+    """
+    from itertools import combinations
+
+    from glab.exact import Pinning, condition, marginal
+    from glab.spectral import dobrushin_matrix
+
+    n = dist.n
+    worst = 0.0
+    for free_size in range(1, n + 1):
+        for free in combinations(range(n), free_size):
+            pinned = tuple(v for v in range(n) if v not in free)
+            for spins in product((-1, 1), repeat=len(pinned)):
+                sub = marginal(condition(dist, Pinning(pinned, spins)), free) if pinned else dist
+                a = np.abs(dobrushin_matrix(sub))
+                worst = max(worst, float(np.max(np.sum(a, axis=0))),
+                            float(np.max(np.sum(a, axis=1))))
+    return worst

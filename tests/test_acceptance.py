@@ -61,7 +61,8 @@ from glab.walks import (
 )
 
 from oracles import oracle_correlation, oracle_dobrushin, oracle_influence
-from util import family_edges, interior_model, random_dist, random_gibbs, random_positive_f
+from util import (family_edges, interior_model, random_dist, random_gibbs, random_positive_f,
+                  regime_grid)
 
 
 @pytest.fixture
@@ -319,17 +320,11 @@ def test_criterion_11_hypergeometric(announce):
 
 def test_criterion_12_regime_verification(announce):
     bad = []
-    lam_pool = (0.5, 2.0, 1.0, 0.8, 1.25)
-    pos = 0
-    for fam, n in (("cycle", 3), ("cycle", 4), ("cycle", 5),
-                   ("path", 4), ("path", 5), ("complete", 4)):
-        for beta in (0.65, 1.0, 1.5):
-            lam = tuple(lam_pool[(pos + t) % len(lam_pool)] for t in range(n))
-            pos += 1
-            model = IsingModel(n=n, edges=family_edges(fam, n), beta=beta, lam=lam)
-            report = verification_bounds_check(model, 0.5)
-            if not report.passed:
-                bad.append((fam, n, beta, [c.name for c in report.checks if not c.passed]))
+    for fam, model in regime_grid():
+        report = verification_bounds_check(model, 0.5)
+        if not report.passed:
+            bad.append((fam, model.n, model.beta,
+                        [c.name for c in report.checks if not c.passed]))
     announce(12, "field-dependent regime bounds", not bad, 120, str(bad[:3]))
 
 

@@ -1,6 +1,5 @@
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +9,7 @@ import glab
 from glab.cli import (
     RunConfig,
     SUITES,
-    dump_distribution,
-    dump_levels,
-    dump_matrix,
-    dump_spectrum,
+    _level_rows,
     emit_series,
     json_17g,
     main,
@@ -69,30 +65,18 @@ def test_emit_series(tmp_path):
     assert text == "k,gap\n2,0.5\n4,0.33333333333333331\n"
     emit_series(path, ("k", "gap"), [])
     assert path.read_text() == "k,gap\n"
+    emit_series(path, None, [(1.0, 0.5), (0.25, 0.0)])
+    assert path.read_text() == "1,0.5\n0.25,0\n"
     with pytest.raises(ValueError):
         emit_series(path, ("a",), [(1, 2)])
 
 
-def test_dump_writers(tmp_path):
-    d = enumerate_gibbs(MODEL)
-    p1 = dump_distribution(tmp_path / "d.csv", d)
-    lines = Path(p1).read_text().splitlines()
-    assert lines[0] == "config_index,probability"
-    assert len(lines) == 9
-
-    dump_matrix(tmp_path / "m.csv", np.array([[1.0, 0.5], [0.25, 0.0]]))
-    assert (tmp_path / "m.csv").read_text() == "1,0.5\n0.25,0\n"
-
-    dump_spectrum(tmp_path / "sp.csv", [1.0 + 0j, -0.5 + 0.25j])
-    sp = (tmp_path / "sp.csv").read_text().splitlines()
-    assert sp[0] == "re,im"
-    assert sp[1].startswith("1,")
-
+def test_level_rows_csv(tmp_path):
     from glab.spectral import homogenize
     from glab.walks import levels_from_homogenized
 
-    levels = levels_from_homogenized(homogenize(d))
-    dump_levels(tmp_path / "lv.csv", levels)
+    levels = levels_from_homogenized(homogenize(enumerate_gibbs(MODEL)))
+    emit_series(tmp_path / "lv.csv", ("level", "face", "probability"), _level_rows(levels))
     lv = (tmp_path / "lv.csv").read_text().splitlines()
     assert lv[0] == "level,face,probability"
     assert lv[1].startswith("0,,")  # the empty face

@@ -40,8 +40,8 @@ from glab.glauber import (
 )
 from glab.model import IsingModel, cycle_edges
 
-from oracles import oracle_tmix, oracle_transition
-from util import random_dist, random_gibbs, random_positive_f
+from oracles import oracle_pinned_dobrushin_worst, oracle_tmix, oracle_transition
+from util import random_dist, random_gibbs, random_positive_f, regime_grid
 
 SINGLE_EDGE = IsingModel(n=2, edges=[(0, 1)], beta=0.5, lam=(1.0, 1.0))
 
@@ -191,9 +191,12 @@ def test_worst_tv_monotone():
 def test_mixing_support_cap(monkeypatch):
     import glab.glauber as gl
 
-    monkeypatch.setattr(gl, "MIXING_SUPPORT_LIMIT", 4)
     d = random_gibbs(3, 63)
-    with pytest.raises(CapacityError):
+    # 8 support states need 7 * 8 * 8^2 = 3584 bytes of dense arrays
+    monkeypatch.setattr(gl, "MIXING_BYTE_BUDGET", 3584)
+    assert mixing_time_exact(d, 0.25) >= 1
+    monkeypatch.setattr(gl, "MIXING_BYTE_BUDGET", 3583)
+    with pytest.raises(CapacityError, match="8 support states needs 3584 bytes"):
         mixing_time_exact(d, 0.25)
 
 
@@ -371,6 +374,22 @@ def test_verification_example_passes():
     assert rep.alpha >= rep.alpha_bound
     assert rep.dobrushin_worst_norm <= rep.dobrushin_bound + 1e-12
     assert rep.mu_min >= rep.mu_min_bound
+
+
+def test_verification_unpinned_norm_bounds_every_pinning():
+    from glab.glauber import EXTREME_FIELD
+    from glab.model import flip_direction, star_edges
+
+    models = [IsingModel(n=6, edges=star_edges(6), beta=0.9, lam=(2.0, 0.5) * 3),
+              IsingModel(n=6, edges=cycle_edges(6), beta=0.6, lam=(0.5, 2.0) * 3)]
+    models += [model for _, model in regime_grid()]
+    for model in models:
+        phi = np.where(flip_direction(model) == 1, EXTREME_FIELD, 1.0 / EXTREME_FIELD)
+        extreme = magnetize(enumerate_gibbs(model), FieldAssignment.full(phi))
+        single = verification_bounds_check(model, 0.5).dobrushin_worst_norm
+        swept = oracle_pinned_dobrushin_worst(extreme)
+        assert swept >= single
+        assert abs(swept - single) <= 1e-13 * single + 1e-15, (model, swept, single)
 
 
 def test_verification_flags_out_of_interior():

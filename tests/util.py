@@ -76,3 +76,16 @@ def max_degree_of(edges, n: int) -> int:
         deg[u] += 1
         deg[v] += 1
     return max(deg) if deg else 0
+
+
+def regime_grid():
+    """Criterion 12's models: small cycles, paths and K4 at three betas,
+    with fields rotated through a fixed pool."""
+    lam_pool = (0.5, 2.0, 1.0, 0.8, 1.25)
+    out = []
+    for fam, n in (("cycle", 3), ("cycle", 4), ("cycle", 5),
+                   ("path", 4), ("path", 5), ("complete", 4)):
+        for beta in (0.65, 1.0, 1.5):
+            lam = tuple(lam_pool[(len(out) + t) % len(lam_pool)] for t in range(n))
+            out.append((fam, IsingModel(n=n, edges=family_edges(fam, n), beta=beta, lam=lam)))
+    return out
