@@ -54,7 +54,6 @@ from .glauber import (
     dobrushin_mls_threshold,
     mixing_time_exact,
     mls_estimate,
-    mls_min_estimate,
     mls_mixing_bound,
     mls_ratio,
     run_chain,

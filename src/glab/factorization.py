@@ -29,19 +29,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .capacity import CapacityError, check_site_count
-from .exact import (
-    DenseDistribution,
-    FieldAssignment,
-    FunctionLike,
-    Pinning,
-    as_values,
-    condition,
-    entropy_functional,
-    magnetize,
-    magnetized_partition,
-    popcount_table,
-)
+from .capacity import CapacityError
+from .exact import DenseDistribution, FunctionLike, as_values, entropy_functional
 from .transform import k_transform, lift_function
 
 DEFAULT_REL_SLACK = 1e-9
@@ -296,13 +285,23 @@ def hypergeo_concentration_check(
 # superset sums and conditional-entropy aggregation
 
 
-def superset_sums(vec: np.ndarray, n: int) -> np.ndarray:
-    """out[R] = sum over supersets x of mask R of vec[x]."""
-    arr = np.array(vec, dtype=np.float64)
-    idx = np.arange(arr.size, dtype=np.int64)
-    for b in range(n):
-        lo = np.nonzero(((idx >> b) & 1) == 0)[0]
-        arr[lo] += arr[lo | (1 << b)]
+def superset_sums(vec: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Weighted superset (zeta) transform over the last axis.
+
+    out[..., R] = sum over supersets x of mask R of
+    vec[..., x] * prod_{v in x minus R} b[..., v], for n = b.shape[-1]
+    fields per row; leading axes of vec and b broadcast.  b = 1 gives the
+    plain superset sums, and a zero field b_v keeps only the x that agree
+    with R at v.
+    """
+    b = np.asarray(b, dtype=np.float64)
+    n = b.shape[-1]
+    vec = np.asarray(vec, dtype=np.float64)
+    arr = np.array(np.broadcast_to(vec, np.broadcast_shapes(vec.shape, b.shape[:-1] + (1 << n,))))
+    lead = arr.shape[:-1]
+    for v in range(n):
+        pairs = arr.reshape(lead + (-1, 2, 1 << v))
+        pairs[..., 0, :] += b[..., v, None, None] * pairs[..., 1, :]
     return arr
 
 
@@ -310,12 +309,16 @@ def _xlogx(vals: np.ndarray) -> np.ndarray:
     return np.where(vals > 0, vals * np.log(np.where(vals > 0, vals, 1.0)), 0.0)
 
 
-def _grouped_entropy_total(gp: np.ndarray, gpf: np.ndarray, gpfl: np.ndarray) -> float:
-    """Sum over groups of (group mass) * Ent of f under the group conditional."""
+def _entropy_mass(gp: np.ndarray, gpf: np.ndarray, gpfl: np.ndarray) -> np.ndarray:
+    """Per group: (group mass) * Ent of f under the group conditional.
+
+    The inputs are the group sums of p, p*f and p*f*log f; groups with no
+    mass or no f-mass contribute 0.
+    """
     ok = (gp > 0) & (gpf > 0)
     vals = np.zeros(gp.shape)
     vals[ok] = gpfl[ok] - gpf[ok] * (np.log(gpf[ok]) - np.log(gp[ok]))
-    return float(np.sum(np.maximum(vals, 0.0)))
+    return np.maximum(vals, 0.0)
 
 
 def subset_conditional_entropy(dist: DenseDistribution, sites: Sequence[int], f: FunctionLike) -> float:
@@ -338,7 +341,7 @@ def subset_conditional_entropy(dist: DenseDistribution, sites: Sequence[int], f:
     gp = np.bincount(gidx, weights=p, minlength=groups)
     gpf = np.bincount(gidx, weights=p * vals, minlength=groups)
     gpfl = np.bincount(gidx, weights=p * _xlogx(vals), minlength=groups)
-    return _grouped_entropy_total(gp, gpf, gpfl)
+    return float(np.sum(_entropy_mass(gp, gpf, gpfl)))
 
 
 def ubf_average(dist: DenseDistribution, ell: int, f: FunctionLike) -> float:
@@ -377,6 +380,39 @@ def ubf_check(
 # magnetized block factorization
 
 
+# Byte bound on the (rows, 2^n) float64 tables of one chunk of field rows
+# in _magnetized_block_kernel, of which about ten are alive at once (three
+# transforms, the weights, the entropy-mass intermediates).  hf_formula
+# hands the kernel one row per count vector: 273,127 at n=7 and 2,306,025
+# at n=8 for k=8.
+_KERNEL_CHUNK_BYTES = 1 << 24
+
+
+def _magnetized_block_kernel(dist: DenseDistribution, fields: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """sum_R prod_{v in R} (1-b_v) * EntMass_R(b) for each row b of fields.
+
+    The weight mu(x) * prod_{v in x minus R} b_v on the x containing R is
+    mu magnetized by b off R and conditioned to all plus on R, before
+    normalizing; EntMass_R(b) is its total times the entropy of f under
+    it, and 0 where the total vanishes.
+    """
+    n = dist.n
+    p = dist.prob
+    tables = (p, p * vals, p * _xlogx(vals))
+    # superset sums of the point mass at all plus: prod over the
+    # complement of R, so the reversed table is prod over R
+    all_plus = np.zeros(1 << n)
+    all_plus[-1] = 1.0
+    rows = max(1, _KERNEL_CHUNK_BYTES // (10 * 8 << n))
+    out = np.empty(fields.shape[0])
+    for lo in range(0, fields.shape[0], rows):
+        b = fields[lo:lo + rows]
+        ent_mass = _entropy_mass(*(superset_sums(t, b) for t in tables))
+        weight = superset_sums(all_plus, 1.0 - b)[:, ::-1]
+        out[lo:lo + rows] = np.sum(weight * ent_mass, axis=1)
+    return out
+
+
 def mbf_rhs(dist: DenseDistribution, theta: float, f: FunctionLike) -> float:
     """Magnetized-block functional
 
@@ -384,30 +420,13 @@ def mbf_rhs(dist: DenseDistribution, theta: float, f: FunctionLike) -> float:
 
     where pi is the uniformly theta-magnetized distribution, R collects
     each site independently with probability 1-theta, and zero-probability
-    all-plus events contribute nothing.
+    all-plus events contribute nothing.  Unfolding pi and E_R leaves the
+    block kernel at the uniform field theta.
     """
     if not 0 < theta < 1:
         raise ValueError(f"theta must lie in (0,1), got {theta}")
-    n = dist.n
-    vals = as_values(f, n)
-    pi = magnetize(dist, FieldAssignment.uniform(n, theta))
-    z_pi = magnetized_partition(dist, theta)
-
-    sup_p = superset_sums(pi.prob, n)
-    sup_pf = superset_sums(pi.prob * vals, n)
-    sup_pfl = superset_sums(pi.prob * _xlogx(vals), n)
-
-    sizes = popcount_table(n)
-    log_theta = math.log(theta)
-    log_one_minus = math.log1p(-theta)
-    weights = np.exp(sizes * log_one_minus + (n - sizes) * log_theta)
-
-    ok = (sup_p > 0) & (sup_pf > 0)
-    ent_mass = np.zeros(sup_p.shape)
-    ent_mass[ok] = sup_pfl[ok] - sup_pf[ok] * (np.log(sup_pf[ok]) - np.log(sup_p[ok]))
-    ent_mass = np.maximum(ent_mass, 0.0)
-    inner = float(np.sum(weights * ent_mass))
-    return math.exp(math.log(z_pi) - n * log_theta) * inner
+    vals = as_values(f, dist.n)
+    return float(_magnetized_block_kernel(dist, np.full((1, dist.n), theta), vals)[0])
 
 
 def mbf_check(
@@ -453,15 +472,6 @@ def hf_direct(dist: DenseDistribution, k: int, ell: int, f: FunctionLike) -> flo
     return total / count
 
 
-def _submasks(mask: int) -> Iterator[int]:
-    s = mask
-    while True:
-        yield s
-        if s == 0:
-            return
-        s = (s - 1) & mask
-
-
 def hf_formula(dist: DenseDistribution, k: int, ell: int, f: FunctionLike) -> float:
     """Hypergeometric-mixture form of the lifted block average.
 
@@ -469,69 +479,19 @@ def hf_formula(dist: DenseDistribution, k: int, ell: int, f: FunctionLike) -> fl
     uniform size-ell block, the base-instance entropies of f after
     magnetizing by b = a/k off a subset R and conditioning to all plus
     on R, weighted by prod_R (1-b) * prod b over the plus set of each
-    base configuration.  Terms whose magnetization or conditioning has
-    zero mass are dropped, matching the convention that zero-probability
-    blocks contribute nothing.
+    base configuration.  Summing those weights over the configurations
+    leaves the block kernel at the field b, so the mixture is
+    sum_a pmf(a) * kernel(a/k).  Terms whose magnetization or
+    conditioning has zero mass are dropped, matching the convention that
+    zero-probability blocks contribute nothing.
     """
     n = dist.n
     vals = as_values(f, n)
     if not 1 <= ell <= n * k:
         raise ValueError(f"block size must lie in [1, nk], got {ell}")
-    spec = HyperGeoSpec(n=n, k=k, ell=ell)
-    support_idx = dist.support_indices
-    total = 0.0
-    for a in hypergeo_support(spec):
-        weight_a = hypergeo_pmf(spec, a)
-        if weight_a == 0.0:
-            continue
-        b = np.asarray(a, dtype=np.float64) / k
-        zero_mask = 0
-        for v in range(n):
-            if a[v] == 0:
-                zero_mask |= 1 << v
-        ent_cache = {}
-
-        def block_entropy(r_mask: int) -> Optional[float]:
-            if r_mask in ent_cache:
-                return ent_cache[r_mask]
-            free_sites = [v for v in range(n) if not (r_mask >> v) & 1]
-            try:
-                shaped = magnetize(
-                    dist,
-                    FieldAssignment(tuple(free_sites), tuple(float(b[v]) for v in free_sites)),
-                )
-                if r_mask:
-                    pinned = [v for v in range(n) if (r_mask >> v) & 1]
-                    shaped = condition(shaped, Pinning.all_plus(pinned))
-            except ValueError:
-                ent_cache[r_mask] = None
-                return None
-            ent = entropy_functional(shaped, vals)
-            ent_cache[r_mask] = ent
-            return ent
-
-        inner = 0.0
-        for x in support_idx:
-            tau_weight = float(dist.prob[x])
-            plus_mask = int(x)
-            forced = plus_mask & zero_mask
-            optional = plus_mask & ~zero_mask
-            for sub in _submasks(optional):
-                r_mask = sub | forced
-                ent = block_entropy(r_mask)
-                if ent is None:
-                    continue
-                w = 1.0
-                for v in range(n):
-                    bit = (1 << v)
-                    if r_mask & bit:
-                        w *= 1.0 - float(b[v])
-                    elif plus_mask & bit:
-                        w *= float(b[v])
-                if w != 0.0:
-                    inner += tau_weight * w * ent
-        total += weight_a * inner
-    return total
+    support, probs = hypergeo_pmf_table(HyperGeoSpec(n=n, k=k, ell=ell))
+    fields = np.asarray(support, dtype=np.float64) / k
+    return float(np.dot(probs, _magnetized_block_kernel(dist, fields, vals)))
 
 
 def hf_pair(dist: DenseDistribution, k: int, ell: int, f: FunctionLike) -> Tuple[float, float]:

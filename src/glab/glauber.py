@@ -34,7 +34,6 @@ from .exact import (
     entropy_functional,
     expected_site_ment,
     magnetize,
-    marginal,
     popcount_table,
 )
 from .factorization import CheckReport
@@ -283,78 +282,6 @@ def mls_estimate(
     return MlsEstimate(rho_hat=best_val, minimizer=full, restarts=restarts)
 
 
-@dataclass(frozen=True)
-class MlsMinEstimate:
-    """Minimum of the ratio estimate over all pinned sub-instances.
-
-    `table` records every feasible pinning as ("sites:spins", rho_hat);
-    the empty pinning is keyed by ":".
-    """
-
-    value: float
-    pinned_sites: Tuple[int, ...]
-    pinned_spins: Tuple[int, ...]
-    table: Tuple[Tuple[str, float], ...]
-
-    @property
-    def instances(self) -> int:
-        return len(self.table)
-
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "pinned_sites": list(self.pinned_sites),
-            "pinned_spins": list(self.pinned_spins),
-            "table": [[key, val] for key, val in self.table],
-            "note": "upper bound; minimum of sampled-minimization estimates",
-        }
-
-
-def _pinning_key(sites: Tuple[int, ...], spins: Tuple[int, ...]) -> str:
-    return ",".join(str(v) for v in sites) + ":" + ",".join(str(s) for s in spins)
-
-
-def mls_min_estimate(
-    dist: DenseDistribution, restarts: int = 8, seed: int = 0
-) -> MlsMinEstimate:
-    """Minimize mls_estimate over every feasible pinning of a strict subset.
-
-    Pinnings leaving fewer than two support states have no chain and are
-    skipped.  The empty pinning is included, so the result is at most the
-    unpinned estimate.
-    """
-    import itertools
-
-    best = math.inf
-    best_pin: Tuple[Tuple[int, ...], Tuple[int, ...]] = ((), ())
-    rows: List[Tuple[str, float]] = []
-    n = dist.n
-    for size in range(n):
-        for sites in itertools.combinations(range(n), size):
-            sub = marginal(dist, sites) if sites else None
-            for assignment in range(1 << size):
-                if sites:
-                    if sub.prob[assignment] <= 0:
-                        continue
-                    spins = tuple(1 if (assignment >> t) & 1 else -1 for t in range(size))
-                    pinned = condition(dist, Pinning(tuple(sites), spins))
-                else:
-                    spins = ()
-                    pinned = dist
-                if pinned.support_indices.size < 2:
-                    continue
-                est = mls_estimate(pinned, restarts=restarts, seed=seed,
-                                   label=f"mls-min:{sites}:{spins}")
-                rows.append((_pinning_key(tuple(sites), spins), est.rho_hat))
-                if est.rho_hat < best:
-                    best = est.rho_hat
-                    best_pin = (tuple(sites), spins)
-                if sites == ():
-                    break
-    return MlsMinEstimate(value=best, pinned_sites=best_pin[0],
-                          pinned_spins=best_pin[1], table=tuple(rows))
-
-
 def mls_mixing_bound(rho: float, mu_min: float, eps: float) -> float:
     """(1/rho) (log log(1/mu_min) + log(1/(2 eps^2))).
 
@@ -402,7 +329,7 @@ def mixing_time_exact(dist: DenseDistribution, eps: float, max_doublings: int = 
     if stationary_distance_profile(tm, ident) <= eps:
         return 0
 
-    step_op = sp.csr_matrix(p_dense.T)
+    step_op = tm.matrix.T.tocsr()
 
     prev_t, prev_m = 0, ident
     cur_t, cur_m = 1, p_dense
@@ -761,7 +688,7 @@ def compare_identity_check(
     from .exact import site_ment_profile
     from .factorization import superset_sums
 
-    sup_p = superset_sums(pi.prob, n)
+    sup_p = superset_sums(pi.prob, np.ones(n))
     sizes = popcount_table(n)
     lhs = 0.0
     for r_mask in range(1 << n):

@@ -157,3 +157,28 @@ def oracle_pinned_dobrushin_worst(dist):
                 worst = max(worst, float(np.max(np.sum(a, axis=0))),
                             float(np.max(np.sum(a, axis=1))))
     return worst
+
+
+def oracle_mbf_rhs(dist, theta, f):
+    """The magnetized-block functional, term by term over the blocks R.
+
+    (Z_pi / theta^n) * sum_R (1-theta)^|R| theta^(n-|R|) * pi(all plus on R)
+    * Ent of f under pi conditioned to all plus on R, where pi is the
+    distribution magnetized by theta at every site; blocks whose all-plus
+    event has no mass are skipped.  Like oracle_pinned_dobrushin_worst it
+    reuses the package's magnetize, condition and entropy_functional.
+    """
+    from glab.exact import FieldAssignment, Pinning, condition, entropy_functional, magnetize
+
+    n = dist.n
+    z_pi = sum(p * theta ** bin(x).count("1") for x, p in enumerate(dist.prob))
+    pi = magnetize(dist, FieldAssignment.uniform(n, theta))
+    total = 0.0
+    for r in range(1 << n):
+        sites = [v for v in range(n) if (r >> v) & 1]
+        mass = sum(p for x, p in enumerate(pi.prob) if x & r == r)
+        if mass <= 0.0:
+            continue
+        ent = entropy_functional(condition(pi, Pinning.all_plus(sites)), f)
+        total += (1.0 - theta) ** len(sites) * theta ** (n - len(sites)) * mass * ent
+    return z_pi / theta ** n * total

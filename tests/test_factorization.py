@@ -41,7 +41,8 @@ from glab.factorization import (
     ubf_kappa_constant,
 )
 
-from util import random_dist, random_gibbs, random_positive_f
+from oracles import oracle_mbf_rhs
+from util import random_dist, random_gibbs, random_positive_f, regime_grid
 
 
 # ---------------------------------------------------------------------------
@@ -178,20 +179,21 @@ def test_hypergeo_concentration_tail():
 # superset sums and conditional entropies
 
 
-def brute_superset_sum(vec, n, r):
+def brute_superset_sum(vec, b, r):
     total = 0.0
-    for x in range(1 << n):
+    for x in range(vec.size):
         if x & r == r:
-            total += vec[x]
+            total += vec[x] * math.prod(b[v] for v in range(len(b)) if (x & ~r) >> v & 1)
     return total
 
 
 def test_superset_sums_against_brute():
     gen = np.random.default_rng(3)
     vec = gen.random(16)
-    out = superset_sums(vec, 4)
-    for r in range(16):
-        assert out[r] == pytest.approx(brute_superset_sum(vec, 4, r), rel=1e-12)
+    for b in (np.ones(4), np.array([0.0, 0.3, 1.0, 0.75])):
+        out = superset_sums(vec, b)
+        for r in range(16):
+            assert out[r] == pytest.approx(brute_superset_sum(vec, b, r), rel=1e-12)
 
 
 def test_subset_conditional_entropy_matches_direct():
@@ -271,6 +273,17 @@ def test_mbf_rhs_single_site():
     assert mbf_rhs(d, theta, f) == pytest.approx(want, rel=1e-10)
 
 
+def test_mbf_rhs_against_oracle():
+    from glab.exact import enumerate_gibbs
+
+    dists = [enumerate_gibbs(model) for _, model in regime_grid()]
+    dists += [random_dist(n, 90 + n, zero_frac=0.3) for n in (3, 4, 5)]
+    for d in dists:
+        f = random_positive_f(d.n, 91)
+        for theta in (0.3, 0.5, 0.75):
+            assert mbf_rhs(d, theta, f) == pytest.approx(oracle_mbf_rhs(d, theta, f), rel=1e-12)
+
+
 def test_mbf_check_passes_in_regime():
     from util import interior_model
     from glab.exact import enumerate_gibbs
@@ -296,11 +309,11 @@ def test_mbf_negative_control():
 
 def test_hf_direct_equals_formula_small():
     for n, k in [(2, 2), (2, 3), (3, 2)]:
-        d = random_gibbs(n, n * 10 + k)
         f = random_positive_f(n, n * 20 + k)
-        for ell in (1, (n * k) // 2, n * k):
-            direct, formula = hf_pair(d, k, ell, f)
-            assert formula == pytest.approx(direct, rel=1e-10, abs=1e-12)
+        for d in (random_gibbs(n, n * 10 + k), random_dist(n, n * 40 + k, zero_frac=0.3)):
+            for ell in (1, (n * k) // 2, n * k):
+                direct, formula = hf_pair(d, k, ell, f)
+                assert formula == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
 
 def test_hf_full_block_recovers_entropy():

@@ -27,7 +27,6 @@ from glab.glauber import (
     marginal_lower_bound,
     mixing_time_exact,
     mls_estimate,
-    mls_min_estimate,
     mls_mixing_bound,
     mls_ratio,
     power_iteration_two_norm,
@@ -133,17 +132,6 @@ def test_mls_estimate_deterministic():
     a = mls_estimate(d, restarts=4, seed=9)
     b = mls_estimate(d, restarts=4, seed=9)
     assert a.rho_hat == b.rho_hat
-
-
-def test_mls_min_estimate_table():
-    d = random_gibbs(3, 53)
-    out = mls_min_estimate(d, restarts=2, seed=1)
-    assert out.value <= min(v for _, v in out.table) + 1e-12
-    keys = [k for k, _ in out.table]
-    assert ":" in keys[0]
-    assert len(keys) == len(set(keys))
-    # empty pinning is included
-    assert any(k == ":" for k in keys)
 
 
 def test_mls_mixing_bound_frozen():
