@@ -16,6 +16,11 @@ DEFAULT_EXACT_LIMIT = 22
 # machine and refuses 8192.
 MIXING_BYTE_BUDGET = 2 ** 31
 
+# Bytes a down-up walk level structure may take, counted per (top face,
+# subface) pair: 1 GiB admits the homogenized 12-site distribution (4096
+# faces of size 12, exactly 1 GiB by that count) and refuses 13 sites.
+LEVEL_BYTE_BUDGET = 2 ** 30
+
 
 class CapacityError(Exception):
     """Raised when a request exceeds the exact-enumeration budget."""

@@ -19,131 +19,144 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .capacity import CapacityError
+from .capacity import LEVEL_BYTE_BUDGET, CapacityError
 from .exact import DenseDistribution, FunctionLike, as_values, entropy_functional
 from .factorization import CheckReport, kappa, ubf_average
 from .spectral import HomogenizedDistribution, homogenize
 
-LEVEL_FACE_BUDGET = 10**6
+# Bytes per (top face, subface) pair, the unit of a level structure's
+# size.  Under tracemalloc build_levels peaked at 19-34 of them on
+# homogenized, uniform-slice and random faces of size 4-10, and at 61 on
+# faces of size 2, where the per-face input check dominates.
+SUBFACE_BYTES = 64
 
 
 def mask_bits(mask: int) -> Tuple[int, ...]:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return tuple(out)
-
-
-def _face_sort_key(mask: int) -> Tuple[int, ...]:
-    return mask_bits(mask)
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 @dataclass(frozen=True)
 class Levels:
-    """Level sets of the downward closure of a homogeneous support."""
+    """Level sets of the downward closure of a homogeneous support, and
+    the incidence every walk operator is read from."""
 
     ground: int
     k: int
     faces: Tuple[Tuple[int, ...], ...]       # faces[j] = masks of X(j), lexicographic
     top_prob: np.ndarray                     # aligned with faces[k]
-
-    def index(self, j: int) -> Dict[int, int]:
-        return {mask: i for i, mask in enumerate(self.faces[j])}
+    cols: Tuple[np.ndarray, ...]             # cols[j][t] = level-j columns of t's subfaces
 
     def face_count(self, j: int) -> int:
         return len(self.faces[j])
 
 
+def _combinations(k: int, j: int) -> np.ndarray:
+    """The j-subsets of range(k) as a (C(k, j), j) index array, in itertools order."""
+    combs = list(itertools.combinations(range(k), j))
+    return np.array(combs, dtype=np.intp).reshape(len(combs), j)
+
+
+def _reverse_bits(masks: np.ndarray, ground: int) -> np.ndarray:
+    """Masks with element b moved to ground-1-b (an involution); for sets of
+    one size, descending reversed masks list the sets lexicographically."""
+    out = np.zeros_like(masks)
+    for b in range(ground):
+        out |= ((masks >> b) & 1) << (ground - 1 - b)
+    return out
+
+
 def build_levels(ground: int, k: int, faces: Sequence[int], probs: Sequence[float]) -> Levels:
     """Level sets of the downward closure of the given support faces."""
     probs = np.asarray(probs, dtype=np.float64)
-    faces = [int(m) for m in faces]
-    if probs.shape != (len(faces),):
+    if not 0 <= k <= ground <= 63:
+        raise ValueError(f"need 0 <= k <= ground <= 63, got k={k}, ground={ground}")
+    masks = np.asarray(faces, dtype=np.int64)
+    if probs.shape != masks.shape:
         raise ValueError("faces and probs must align")
     if np.any(probs < 0) or abs(float(np.sum(probs)) - 1.0) > 1e-9:
         raise ValueError("probs must be a probability vector")
-    if len(set(faces)) != len(faces):
+    if np.unique(masks).size != masks.size:
         raise ValueError("faces must be distinct")
-    for m in faces:
-        if m < 0 or m >> ground:
-            raise ValueError(f"face {m:#x} outside ground set of size {ground}")
-        if len(mask_bits(m)) != k:
-            raise ValueError(f"face {m:#x} does not have {k} elements")
-    support = [(m, p) for m, p in zip(faces, probs) if p > 0]
-    if not support:
+    # bits[i, b] = element b of face i; a negative mask sets bit 63
+    bits = np.unpackbits(masks.astype("<i8").view(np.uint8).reshape(-1, 8), axis=1,
+                         bitorder="little")
+    outside = masks[bits[:, ground:].any(axis=1)]
+    if outside.size:
+        raise ValueError(f"face {int(outside[0]):#x} outside ground set of size {ground}")
+    wrong = masks[bits.sum(axis=1) != k]
+    if wrong.size:
+        raise ValueError(f"face {int(wrong[0]):#x} does not have {k} elements")
+    on = probs > 0
+    if not np.any(on):
         raise ValueError("support must be nonempty")
 
-    level_sets: List[set] = [set() for _ in range(k + 1)]
-    for m, _ in support:
-        bits = mask_bits(m)
-        for j in range(k + 1):
-            for comb in itertools.combinations(bits, j):
-                sub = 0
-                for b in comb:
-                    sub |= 1 << b
-                level_sets[j].add(sub)
-        if sum(len(s) for s in level_sets) > LEVEL_FACE_BUDGET:
-            raise CapacityError("level sets exceed the face budget")
+    top = int(np.count_nonzero(on))
+    # every top face has sum_j C(k, j) = 2^k subfaces
+    need = SUBFACE_BYTES * top * 2 ** k
+    if need > LEVEL_BYTE_BUDGET:
+        raise CapacityError(
+            f"level structure of {top} top faces of size {k} needs {need} bytes, "
+            f"above the budget of {LEVEL_BYTE_BUDGET} bytes")
 
-    ordered = tuple(tuple(sorted(s, key=_face_sort_key)) for s in level_sets)
-    top_order = ordered[k]
-    top_index = {m: i for i, m in enumerate(top_order)}
-    top_prob = np.zeros(len(top_order))
-    for m, p in support:
-        top_prob[top_index[m]] = p
+    order = np.argsort(_reverse_bits(masks[on], ground))[::-1]
+    top_prob = probs[on][order]
     top_prob /= float(np.sum(top_prob))
-    return Levels(ground=ground, k=k, faces=ordered, top_prob=top_prob)
+    # element bits of each top face, reversed so that subface keys sort
+    rev = np.left_shift(1, ground - 1 - np.nonzero(bits[on][order])[1]).reshape(top, k)
+    level_faces, cols = [], []
+    for j in range(k + 1):
+        keys = rev[:, _combinations(k, j)].sum(axis=2)
+        uniq, inv = np.unique(keys.ravel(), return_inverse=True)
+        level_faces.append(tuple(_reverse_bits(uniq[::-1], ground).tolist()))
+        cols.append((uniq.size - 1 - inv).astype(np.int32).reshape(keys.shape))
+    return Levels(ground=ground, k=k, faces=tuple(level_faces), top_prob=top_prob,
+                  cols=tuple(cols))
 
 
 def levels_from_homogenized(hom: HomogenizedDistribution) -> Levels:
-    masks = [int(m) for m in hom.face_masks()]
-    probs = hom.face_probs()
-    return build_levels(hom.ground_size, hom.base_n, masks, probs)
+    return build_levels(hom.ground_size, hom.base_n, hom.face_masks(), hom.face_probs())
 
 
 def uniform_slice_levels(n: int, k: int) -> Levels:
     """Uniform distribution over all size-k subsets of [n]."""
-    faces = []
-    for comb in itertools.combinations(range(n), k):
-        m = 0
-        for b in comb:
-            m |= 1 << b
-        faces.append(m)
-    probs = np.full(len(faces), 1.0 / len(faces))
-    return build_levels(n, k, faces, probs)
+    faces = np.left_shift(1, _combinations(n, k)).sum(axis=1)
+    return build_levels(n, k, faces, np.full(faces.size, 1.0 / faces.size))
+
+
+def _incidence(levels: Levels, j: int) -> np.ndarray:
+    if not 0 <= j <= levels.k:
+        raise ValueError(f"level must lie in [0, k], got {j}")
+    return levels.cols[j]
 
 
 def down_matrix(levels: Levels, frm: int, to: int) -> np.ndarray:
     """Row-stochastic matrix deleting frm-to elements uniformly."""
     if not 0 <= to <= frm <= levels.k:
         raise ValueError(f"need 0 <= to <= frm <= k, got {to}, {frm}")
-    rows = levels.faces[frm]
-    col_index = levels.index(to)
-    out = np.zeros((len(rows), len(levels.faces[to])))
-    w = 1.0 / math.comb(frm, to)
-    for i, mask in enumerate(rows):
-        for comb in itertools.combinations(mask_bits(mask), to):
-            sub = 0
-            for b in comb:
-                sub |= 1 << b
-            out[i, col_index[sub]] += w
+    # every level-frm face is some combination a of a top face, and its
+    # level-to subfaces are that top face's combinations b inside a
+    inner = np.left_shift(1, _combinations(levels.k, to)).sum(axis=1)
+    outer = np.left_shift(1, _combinations(levels.k, frm)).sum(axis=1)
+    a, b = np.nonzero(inner[None, :] & ~outer[:, None] == 0)
+    out = np.zeros((levels.face_count(frm), levels.face_count(to)))
+    out[levels.cols[frm][:, a], levels.cols[to][:, b]] = 1.0 / math.comb(frm, to)
     return out
+
+
+def _level_sums(levels: Levels, top: np.ndarray, j: int) -> np.ndarray:
+    """Sum of the top vector over the top faces containing each level-j face."""
+    cols = _incidence(levels, j)
+    return np.bincount(cols.ravel(), weights=np.repeat(top, cols.shape[1]),
+                       minlength=levels.face_count(j))
 
 
 def level_distribution(levels: Levels, j: int) -> np.ndarray:
     """Down-walk image of the top distribution at level j."""
-    if not 0 <= j <= levels.k:
-        raise ValueError(f"level must lie in [0, k], got {j}")
-    d = down_matrix(levels, levels.k, j)
-    return levels.top_prob @ d
+    return push_down(levels, levels.top_prob, j)
 
 
 def push_down(levels: Levels, top: np.ndarray, j: int) -> np.ndarray:
@@ -151,30 +164,15 @@ def push_down(levels: Levels, top: np.ndarray, j: int) -> np.ndarray:
     top = np.asarray(top, dtype=np.float64)
     if top.shape != (levels.face_count(levels.k),):
         raise ValueError("top vector must align with the top faces")
-    d = down_matrix(levels, levels.k, j)
-    return top @ d
+    return _level_sums(levels, top, j) / math.comb(levels.k, j)
 
 
 def up_matrix(levels: Levels, j: int) -> np.ndarray:
     """Row-stochastic matrix regrowing a level-j face to a top face."""
-    if not 0 <= j <= levels.k:
-        raise ValueError(f"level must lie in [0, k], got {j}")
-    rows = levels.faces[j]
-    row_index = {m: i for i, m in enumerate(rows)}
-    out = np.zeros((len(rows), levels.face_count(levels.k)))
-    for gi, gmask in enumerate(levels.faces[levels.k]):
-        p = levels.top_prob[gi]
-        if p <= 0:
-            continue
-        for comb in itertools.combinations(mask_bits(gmask), j):
-            sub = 0
-            for b in comb:
-                sub |= 1 << b
-            out[row_index[sub], gi] += p
-    sums = out.sum(axis=1, keepdims=True)
-    if np.any(sums <= 0):
-        raise ValueError("every level face must extend to a support face")
-    return out / sums
+    cols = _incidence(levels, j)
+    out = np.zeros((levels.face_count(j), cols.shape[0]))
+    out[cols, np.arange(cols.shape[0])[:, None]] = levels.top_prob[:, None]
+    return out / out.sum(axis=1, keepdims=True)
 
 
 def lift_level_function(levels: Levels, f_top: np.ndarray, j: int) -> np.ndarray:
@@ -182,7 +180,8 @@ def lift_level_function(levels: Levels, f_top: np.ndarray, j: int) -> np.ndarray
     f_top = np.asarray(f_top, dtype=np.float64)
     if f_top.shape != (levels.face_count(levels.k),):
         raise ValueError("top function must align with the top faces")
-    return up_matrix(levels, j) @ f_top
+    return (_level_sums(levels, levels.top_prob * f_top, j)
+            / _level_sums(levels, levels.top_prob, j))
 
 
 def vector_entropy(p: np.ndarray, f: np.ndarray) -> float:
@@ -291,10 +290,8 @@ def ubf_ed_identity(dist: DenseDistribution, f: FunctionLike, j: int) -> Tuple[f
 
     hom = homogenize(dist)
     levels = levels_from_homogenized(hom)
-    base_mask = (1 << n) - 1
-    f_top = np.asarray(
-        [vals[mask & base_mask] for mask in levels.faces[levels.k]], dtype=np.float64
-    )
+    # a top face's first n elements are the +1 sites of its configuration
+    f_top = vals[np.asarray(levels.faces[levels.k]) & ((1 << n) - 1)]
     ent_top = vector_entropy(levels.top_prob, f_top)
     ent_low = vector_entropy(
         level_distribution(levels, n - j), lift_level_function(levels, f_top, n - j)

@@ -182,3 +182,61 @@ def oracle_mbf_rhs(dist, theta, f):
         ent = entropy_functional(condition(pi, Pinning.all_plus(sites)), f)
         total += (1.0 - theta) ** len(sites) * theta ** (n - len(sites)) * mass * ent
     return z_pi / theta ** n * total
+
+
+def _elements(mask):
+    return tuple(v for v in range(mask.bit_length()) if (mask >> v) & 1)
+
+
+def _subface_masks(mask, j):
+    """Masks of the j-element subsets of a face, one per combination."""
+    from itertools import combinations
+
+    out = []
+    for comb in combinations(_elements(mask), j):
+        sub = 0
+        for b in comb:
+            sub |= 1 << b
+        out.append(sub)
+    return out
+
+
+def oracle_levels(k, faces, probs):
+    """(faces, top_prob) of the downward closure of the support faces.
+
+    Enumerates every subset of every support face into a set per level
+    and sorts each level lexicographically by its elements.
+    """
+    support = [(int(m), float(p)) for m, p in zip(faces, probs) if p > 0]
+    level_sets = [set() for _ in range(k + 1)]
+    for m, _ in support:
+        for j in range(k + 1):
+            level_sets[j].update(_subface_masks(m, j))
+    ordered = tuple(tuple(sorted(s, key=_elements)) for s in level_sets)
+    top_index = {m: i for i, m in enumerate(ordered[k])}
+    top_prob = np.zeros(len(ordered[k]))
+    for m, p in support:
+        top_prob[top_index[m]] = p
+    return ordered, top_prob / float(np.sum(top_prob))
+
+
+def oracle_down_matrix(levels, frm, to):
+    """Row-stochastic matrix deleting frm - to elements uniformly."""
+    col_index = {m: i for i, m in enumerate(levels.faces[to])}
+    out = np.zeros((len(levels.faces[frm]), len(levels.faces[to])))
+    w = 1.0 / math.comb(frm, to)
+    for i, mask in enumerate(levels.faces[frm]):
+        for sub in _subface_masks(mask, to):
+            out[i, col_index[sub]] += w
+    return out
+
+
+def oracle_up_matrix(levels, j):
+    """Row-stochastic matrix regrowing a level-j face to a top face in
+    proportion to the top probabilities."""
+    row_index = {m: i for i, m in enumerate(levels.faces[j])}
+    out = np.zeros((len(levels.faces[j]), len(levels.faces[levels.k])))
+    for t, mask in enumerate(levels.faces[levels.k]):
+        for sub in _subface_masks(mask, j):
+            out[row_index[sub], t] += levels.top_prob[t]
+    return out / out.sum(axis=1, keepdims=True)

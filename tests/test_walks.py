@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from glab.capacity import CapacityError
 from glab.exact import entropy_functional
 from glab.factorization import kappa, ubf_average
 from glab.spectral import homogenize
@@ -26,6 +28,7 @@ from glab.walks import (
     walk_density_pair,
 )
 
+from oracles import oracle_down_matrix, oracle_levels, oracle_up_matrix
 from util import random_dist, random_gibbs, random_positive_f
 
 
@@ -88,6 +91,66 @@ def test_build_levels_rejects_bad_faces():
         build_levels(3, 2, [0b011, 0b001], [0.5, 0.5])  # mixed face sizes
     with pytest.raises(ValueError):
         build_levels(3, 2, [0b011, 0b011], [0.5, 0.5])  # duplicate face
+    with pytest.raises(ValueError, match="outside ground set"):
+        build_levels(3, 2, [0b011, 0b1001], [0.5, 0.5])
+    with pytest.raises(ValueError, match="outside ground set"):
+        build_levels(3, 2, [0b011, -1], [0.5, 0.5])
+
+
+ORACLE_GRID = (
+    [("slice", n, k) for n, k in ((4, 2), (5, 2), (5, 3), (6, 3))]
+    + [("gibbs", n, n) for n in range(2, 6)]
+    # knocked-out configurations leave some top faces absent
+    + [("sparse", n, n) for n in range(3, 6)]
+    # unsorted faces, one of them with zero probability
+    + [("raw", 5, 3)]
+)
+
+
+def _grid_levels(kind, n, k):
+    """(levels, the faces and probabilities they were built from)."""
+    if kind == "slice":
+        faces = [sum(1 << b for b in c) for c in itertools.combinations(range(n), k)]
+        return uniform_slice_levels(n, k), faces, [1.0 / len(faces)] * len(faces)
+    if kind == "raw":
+        faces, probs = [0b10110, 0b00111, 0b11001, 0b01011], [0.4, 0.1, 0.0, 0.5]
+        return build_levels(n, k, faces, probs), faces, probs
+    dist = random_gibbs(n, 40 + n) if kind == "gibbs" else random_dist(n, 50 + n, zero_frac=0.3)
+    hom = homogenize(dist)
+    return levels_from_homogenized(hom), hom.face_masks(), hom.face_probs()
+
+
+@pytest.mark.parametrize("kind,n,k", ORACLE_GRID)
+def test_levels_match_combination_loops(kind, n, k):
+    levels, faces, probs = _grid_levels(kind, n, k)
+    want_faces, want_prob = oracle_levels(k, faces, probs)
+    assert levels.faces == want_faces
+    np.testing.assert_allclose(levels.top_prob, want_prob, rtol=1e-12, atol=0)
+    f = np.exp(np.random.default_rng(n).normal(size=levels.top_prob.size))
+    for frm in range(k + 1):
+        for to in range(frm + 1):
+            np.testing.assert_allclose(
+                down_matrix(levels, frm, to), oracle_down_matrix(levels, frm, to),
+                rtol=1e-12, atol=0)
+        up = oracle_up_matrix(levels, frm)
+        np.testing.assert_allclose(up_matrix(levels, frm), up, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(lift_level_function(levels, f, frm), up @ f,
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            level_distribution(levels, frm),
+            levels.top_prob @ oracle_down_matrix(levels, k, frm), rtol=1e-12, atol=0)
+
+
+def test_level_byte_budget(monkeypatch):
+    import glab.walks as walks
+
+    # 6 top faces of size 2, each with 2^2 subfaces of 64 bytes
+    monkeypatch.setattr(walks, "LEVEL_BYTE_BUDGET", 1536)
+    assert uniform_slice_levels(4, 2).face_count(2) == 6
+    monkeypatch.setattr(walks, "LEVEL_BYTE_BUDGET", 1535)
+    with pytest.raises(CapacityError,
+                       match="6 top faces of size 2 needs 1536 bytes, above the budget of 1535"):
+        uniform_slice_levels(4, 2)
 
 
 def test_vector_entropy_and_kl():
