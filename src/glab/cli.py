@@ -43,6 +43,7 @@ from .factorization import (
     ubf_kappa_constant,
 )
 from .glauber import (
+    _mixing_bracket,
     compare_identity_check,
     dirichlet_form,
     dirichlet_form_inner,
@@ -55,9 +56,7 @@ from .glauber import (
     mls_estimate,
     mls_mixing_bound,
     run_chain,
-    stationary_distance_profile,
     tensorization_chain_check,
-    transition_matrix,
     verification_bounds_check,
 )
 from .model import IsingModel, load_model, model_to_json
@@ -117,7 +116,6 @@ class RunConfig:
     delta: float = 0.5
     batch: int = 8
     out_dir: str = "reports"
-    capacity: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -276,28 +274,29 @@ def _suite_ktransform(model, dist, cfg, inst):
     ks = [k for k in (2, 3) if n * k <= exact_limit()]
     reports = []
     for k in ks:
+        tdist = k_transform(dist, k)
         for idx, f in enumerate(fs):
-            base_ent, lifted_ent = lifted_entropy_identity(dist, k, f)
+            base_ent, lifted_ent = lifted_entropy_identity(tdist, f)
             checks.append(CheckReport.eq(
                 f"lift-entropy-identity-k{k}", inst, base_ent, lifted_ent,
                 witness=None if abs(base_ent - lifted_ent) <= 1e-9 * max(base_ent, lifted_ent) + 1e-12
                 else f"f[{idx}]",
             ))
-        tv = total_variation(star_pushforward(k_transform(dist, k)), dist)
+        tv = total_variation(star_pushforward(tdist), dist)
         checks.append(CheckReport.le(f"lift-pushforward-tv-k{k}", inst, tv, 0.0))
 
-        lhs, rhs = pinning_pushforward_pair(dist, k, Pinning((0,), (-1,)))
+        lhs, rhs = pinning_pushforward_pair(tdist, Pinning((0,), (-1,)))
         checks.append(CheckReport.le(
             f"pinned-pushforward-tv-k{k}-minus", inst, total_variation(lhs, rhs), 0.0))
         plus_mass = float(np.sum(dist.prob[(np.arange(dist.prob.size) & 1) == 1]))
         if plus_mass > 0:
-            lhs, rhs = pinning_pushforward_pair(dist, k, Pinning((0,), (1,)))
+            lhs, rhs = pinning_pushforward_pair(tdist, Pinning((0,), (1,)))
             checks.append(CheckReport.le(
                 f"pinned-pushforward-tv-k{k}-plus", inst, total_variation(lhs, rhs), 0.0))
 
         gen = derive_generator(cfg.seed, f"ktransform-phi-{k}")
         phi = np.exp(gen.uniform(math.log(0.25), math.log(4.0), size=(n, k)))
-        rep = ktrans_influence_check(dist, k, phi)
+        rep = ktrans_influence_check(tdist, phi)
         reports.append(rep.to_json())
         checks.append(CheckReport.le(
             f"ktrans-influence-cross-k{k}", inst, _clamp_gap(rep.max_cross_violation), 0.0,
@@ -430,13 +429,13 @@ def _suite_walks(model, dist, cfg, inst):
             slice_levels, f_s, j, contraction=kappa(j, 3, 1.0), instance="uniform-6-3",
             name=f"slice-entropy-decay-j{j}"))
 
+    model_levels = levels_from_homogenized(homogenize(dist))
     fs = _functions(n, 2, cfg.seed, "walks-base-f")
     js = range(1, n + 1) if n <= 6 else sorted({1, n // 2, n})
     for j in js:
-        checks.append(ubf_ed_identity_check(dist, fs[0], j, instance=inst,
+        checks.append(ubf_ed_identity_check(dist, model_levels, fs[0], j, instance=inst,
                                             name=f"block-vs-level-j{j}"))
 
-    model_levels = levels_from_homogenized(homogenize(dist))
     gen_mf = derive_generator(cfg.seed, "walks-model-f")
     f_model = np.exp(gen_mf.normal(0.0, 1.0, size=model_levels.top_prob.size))
     for j in range(0, model_levels.k + 1):
@@ -514,9 +513,8 @@ def _suite_verification(model, dist, cfg, inst):
     return list(rep.checks) + extra, payload, []
 
 
-def _mixing_report(dist, eps: float, restarts: int, seed: int) -> dict:
+def _mixing_report(dist, eps: float, restarts: int, seed: int, t_mix: int) -> dict:
     """Exact mixing time beside the MLS estimate and the bound it implies."""
-    t_mix = mixing_time_exact(dist, eps)
     est = mls_estimate(dist, restarts=restarts, seed=seed)
     mu_min = dist.min_support_prob
     bound = mls_mixing_bound(est.rho_hat, mu_min, eps) if mu_min <= math.exp(-1.0) else None
@@ -531,21 +529,12 @@ def _mixing_report(dist, eps: float, restarts: int, seed: int) -> dict:
 
 
 def _suite_mixing(model, dist, cfg, inst):
-    report = _mixing_report(dist, 0.25, min(8, max(2, cfg.batch)), cfg.seed)
-    t_mix = report["t_mix_exact"]
+    t_mix, bracket = _mixing_bracket(dist, 0.25)
+    report = _mixing_report(dist, 0.25, min(8, max(2, cfg.batch)), cfg.seed, t_mix)
     lam_ratio = 2.0 * float(np.max(model.lam) / np.min(model.lam))
-    checks: List[CheckReport] = []
-    tm = transition_matrix(dist, validate=False)
-    if tm.size <= 2048:
-        power = tm.dense()
-        prev = stationary_distance_profile(tm, power)
-        t = 1
-        for _ in range(3):
-            power = power @ power
-            t *= 2
-            cur = stationary_distance_profile(tm, power)
-            checks.append(CheckReport.le(f"worst-tv-monotone-t{t}", inst, cur, prev))
-            prev = cur
+    # one check per squaring of the bracket that found t_mix
+    checks = [CheckReport.le(f"worst-tv-monotone-t{t}", inst, cur, prev)
+              for (_, prev), (t, cur) in zip(bracket, bracket[1:])]
     payload = {
         "mixing_report": report,
         "bound_shapes": {
@@ -693,7 +682,7 @@ def sample_command(model_path, steps, seed, thin, init, out_path) -> None:
 def mix_command(model_path, eps, seed) -> None:
     """Print the exact mixing time report for a model."""
     dist = enumerate_gibbs(load_model(model_path))
-    click.echo(json_17g(_mixing_report(dist, eps, restarts=8, seed=seed)))
+    click.echo(json_17g(_mixing_report(dist, eps, 8, seed, mixing_time_exact(dist, eps))))
 
 
 if __name__ == "__main__":

@@ -282,18 +282,6 @@ def flip(dist: DenseDistribution, chi: Sequence[int]) -> DenseDistribution:
     return DenseDistribution(dist.n, dist.prob[idx ^ flipmask], dist.log_partition)
 
 
-def flip_function(f: FunctionLike, n: int, chi: Sequence[int]) -> np.ndarray:
-    """Compose a function table with the sign flip."""
-    vals = as_values(f, n)
-    chi = np.asarray(chi, dtype=np.int64)
-    flipmask = 0
-    for v in range(n):
-        if chi[v] == -1:
-            flipmask |= 1 << v
-    idx = np.arange(1 << n, dtype=np.int64)
-    return vals[idx ^ flipmask]
-
-
 def entropy_functional(dist: DenseDistribution, f: FunctionLike) -> float:
     """Ent[f] = E[f log f] - E[f] log E[f] with 0 log 0 = 0; always >= 0."""
     vals = as_values(f, dist.n)

@@ -209,20 +209,6 @@ def hypergeo_pmf(spec: HyperGeoSpec, counts: Sequence[int]) -> float:
     return float(Fraction(num, math.comb(spec.n * spec.k, spec.ell)))
 
 
-def hypergeo_logpmf(spec: HyperGeoSpec, counts: Sequence[int]) -> float:
-    """Log-domain pmf via log-gamma, -inf off support."""
-    a = [int(x) for x in counts]
-    if len(a) != spec.n:
-        raise ValueError(f"need {spec.n} counts, got {len(a)}")
-    if sum(a) != spec.ell or any(x < 0 or x > spec.k for x in a):
-        return -math.inf
-
-    def logc(m: int, r: int) -> float:
-        return math.lgamma(m + 1) - math.lgamma(r + 1) - math.lgamma(m - r + 1)
-
-    return sum(logc(spec.k, x) for x in a) - logc(spec.n * spec.k, spec.ell)
-
-
 def hypergeo_pmf_table(spec: HyperGeoSpec) -> Tuple[List[Tuple[int, ...]], np.ndarray]:
     """(support vectors, probabilities) with exact probabilities."""
     support = list(hypergeo_support(spec))
@@ -464,7 +450,7 @@ def hf_direct(dist: DenseDistribution, k: int, ell: int, f: FunctionLike) -> flo
     if count > 10**6:
         raise CapacityError(f"{count} blocks exceed the enumeration budget")
     tdist = k_transform(dist, k)
-    fk = lift_function(f, dist.n, k)
+    fk = lift_function(tdist, f)
     total = math.fsum(
         subset_conditional_entropy(tdist.dist, S, fk)
         for S in itertools.combinations(range(nk), ell)

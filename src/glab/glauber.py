@@ -28,19 +28,18 @@ from .exact import (
     DenseDistribution,
     FieldAssignment,
     FunctionLike,
-    Pinning,
     as_values,
-    condition,
     entropy_functional,
     expected_site_ment,
     magnetize,
+    magnetized_partition,
     popcount_table,
+    site_ment_profile,
 )
-from .factorization import CheckReport
+from .factorization import CheckReport, superset_sums
 from .model import IsingModel, flip_direction
 from .spectral import dobrushin_matrix
 from .rng import derive_generator, uniform_pairs
-from .walks import mask_bits
 
 EXTREME_FIELD = 1.0 / 500.0
 
@@ -313,6 +312,18 @@ def mixing_time_exact(dist: DenseDistribution, eps: float, max_doublings: int = 
     budget.  Worst-start TV is nonincreasing in t, so doubling brackets
     the answer and a linear scan inside the bracket finds it.
     """
+    return _mixing_bracket(dist, eps, max_doublings)[0]
+
+
+def _mixing_bracket(
+    dist: DenseDistribution, eps: float, max_doublings: int = 40
+) -> Tuple[int, List[Tuple[int, float]]]:
+    """(exact mixing time, [(t, worst-start TV at t)] for t = 1, 2, 4, ...).
+
+    The list holds every power of two that the doubling bracket squares
+    to, ending at the first one within eps; it is empty when t = 0
+    already is.
+    """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0,1)")
     m = int(dist.support_indices.size)
@@ -327,18 +338,20 @@ def mixing_time_exact(dist: DenseDistribution, eps: float, max_doublings: int = 
     p_dense = tm.dense()
     ident = np.eye(m)
     if stationary_distance_profile(tm, ident) <= eps:
-        return 0
+        return 0, []
 
     step_op = tm.matrix.T.tocsr()
 
     prev_t, prev_m = 0, ident
     cur_t, cur_m = 1, p_dense
-    while stationary_distance_profile(tm, cur_m) > eps:
+    bracket = [(cur_t, stationary_distance_profile(tm, cur_m))]
+    while bracket[-1][1] > eps:
         if cur_t >= (1 << max_doublings):
             raise RuntimeError(f"no mixing below 2^{max_doublings} steps; chain may be reducible")
         prev_t, prev_m = cur_t, cur_m
         cur_m = cur_m @ cur_m
         cur_t *= 2
+        bracket.append((cur_t, stationary_distance_profile(tm, cur_m)))
 
     t = prev_t
     mat = prev_m
@@ -346,7 +359,7 @@ def mixing_time_exact(dist: DenseDistribution, eps: float, max_doublings: int = 
         mat = (step_op @ mat.T).T
         t += 1
         if stationary_distance_profile(tm, mat) <= eps:
-            return t
+            return t, bracket
 
 
 # ---------------------------------------------------------------------------
@@ -683,26 +696,18 @@ def compare_identity_check(
 
     log_theta = math.log(theta)
     log_one_minus = math.log1p(-theta)
-
-    # subset-average route
-    from .exact import site_ment_profile
-    from .factorization import superset_sums
-
-    sup_p = superset_sums(pi.prob, np.ones(n))
-    sizes = popcount_table(n)
-    lhs = 0.0
-    for r_mask in range(1 << n):
-        mass = sup_p[r_mask]
-        if mass <= 0:
-            continue
-        size = int(sizes[r_mask])
-        weight = math.exp(size * log_one_minus + (n - size) * log_theta)
-        pinned = condition(pi, Pinning.all_plus(mask_bits(r_mask)))
-        lhs += weight * mass * expected_site_ment(pinned, vals, v)
-
-    # boundary-average route
     mass, ment = site_ment_profile(pi, vals, v)
     plus = popcount_table(n - 1)
+
+    # subset-average route: conditioning pi to all plus on R keeps the
+    # site-v conditional at every boundary containing R, so pi(all plus
+    # on R) times the conditioned expected covariance is the superset sum
+    # of mass * ment at R when v is not in R, and 0 when v is in R (the
+    # conditional at v is then a point mass)
+    blocks = superset_sums(mass * ment, np.ones(n - 1))
+    lhs = float(np.sum(np.exp(plus * log_one_minus + (n - plus) * log_theta) * blocks))
+
+    # boundary-average route
     rhs = float(np.sum(mass * np.exp((n - plus) * log_theta) * ment))
     return CheckReport.eq(name, instance, lhs, rhs)
 
@@ -773,8 +778,6 @@ def tensorization_change_base_check(
         raise ValueError(f"theta must lie in (0,1), got {theta}")
     n = dist.n
     vals = as_values(f, n)
-    from .exact import magnetized_partition, site_ment_profile
-
     pi = magnetize(dist, FieldAssignment.uniform(n, theta))
     z_pi = magnetized_partition(dist, theta)
     mass, ment = site_ment_profile(pi, vals, v)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -172,30 +172,6 @@ def in_delta_interior(beta: float, delta: float, max_degree: int) -> bool:
     """Whether beta lies in the closed delta-interior interval."""
     lo, hi = delta_interior(max_degree, delta)
     return lo <= beta <= hi
-
-
-def potential_sup(beta: float) -> float:
-    """sup over y of |(1-beta^2) e^y| / ((beta e^y + 1)(beta + e^y)).
-
-    The supremum is attained at y = 0 and equals |1-beta|/(1+beta).
-    """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    return abs(1.0 - beta) / (1.0 + beta)
-
-
-def potential_profile(beta: float, ys: np.ndarray) -> np.ndarray:
-    """Pointwise values of the potential-derivative bound on a grid of y."""
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    ey = np.exp(np.asarray(ys, dtype=np.float64))
-    return np.abs((1.0 - beta * beta) * ey) / ((beta * ey + 1.0) * (beta + ey))
-
-
-def potential_sup_grid(beta: float, lo: float = -50.0, hi: float = 50.0, points: int = 200001) -> float:
-    """Grid-search validator for potential_sup over y in [lo, hi]."""
-    ys = np.linspace(lo, hi, points)
-    return float(np.max(potential_profile(beta, ys)))
 
 
 def flip_direction(model: IsingModel) -> np.ndarray:

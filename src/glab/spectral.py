@@ -317,16 +317,3 @@ def homog_spectrum_check(dist: DenseDistribution, tol: float = 1e-7) -> dict:
         "correlation_spectrum": [[z.real, z.imag] for z in np.sort_complex(cor_eigs)],
         "expected_spectrum": [[z.real, z.imag] for z in np.sort_complex(expected)],
     }
-
-
-def generating_polynomial(dist: DenseDistribution, z: Sequence[float]) -> float:
-    """Subset generating polynomial sum_S mu(S) prod_{i in S} z_i."""
-    zv = np.asarray(z, dtype=np.float64)
-    if zv.shape != (dist.n,):
-        raise ValueError(f"need {dist.n} variables, got shape {zv.shape}")
-    idx = np.arange(dist.prob.size, dtype=np.int64)
-    mono = np.ones(dist.prob.size)
-    for v in range(dist.n):
-        plus = ((idx >> v) & 1) == 1
-        mono[plus] *= zv[v]
-    return float(np.sum(dist.prob * mono))

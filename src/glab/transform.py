@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -38,22 +38,18 @@ from .exact import (
 from .spectral import signed_influence_matrix
 
 
-def copy_site(v: int, i: int, k: int) -> int:
-    """Bit position of copy i of base site v."""
-    return v * k + i
-
-
 @dataclass(frozen=True)
 class TransformedDistribution:
-    """k-copy lift of a base distribution."""
+    """k-copy lift of a base distribution, with its star projection.
 
-    base_n: int
+    base_index[x] is the base configuration that lifted configuration x
+    projects to; every lifted test function and pushforward reads it.
+    """
+
+    base: DenseDistribution
     k: int
     dist: DenseDistribution
-
-    @property
-    def site_count(self) -> int:
-        return self.base_n * self.k
+    base_index: np.ndarray
 
 
 def star_projection_table(base_n: int, k: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -86,33 +82,34 @@ def k_transform(dist: DenseDistribution, k: int) -> TransformedDistribution:
     feasible, base_index, plus_total = star_projection_table(dist.n, k)
     w = np.where(feasible, dist.prob[base_index] * np.exp(-plus_total * math.log(k)), 0.0)
     lifted = DenseDistribution(dist.n * k, w)
-    return TransformedDistribution(base_n=dist.n, k=k, dist=lifted)
+    return TransformedDistribution(base=dist, k=k, dist=lifted, base_index=base_index)
+
+
+def _project(tdist: TransformedDistribution, lifted: DenseDistribution) -> DenseDistribution:
+    """Pushforward of a law on the lifted cube along the star projection."""
+    n = tdist.base.n
+    p = np.bincount(tdist.base_index, weights=lifted.prob, minlength=1 << n)
+    return DenseDistribution(n, p)
 
 
 def star_pushforward(tdist: TransformedDistribution) -> DenseDistribution:
     """Pushforward of the lifted distribution along the star projection."""
-    _, base_index, _ = star_projection_table(tdist.base_n, tdist.k)
-    p = np.bincount(base_index, weights=tdist.dist.prob, minlength=1 << tdist.base_n)
-    return DenseDistribution(tdist.base_n, p)
+    return _project(tdist, tdist.dist)
 
 
-def lift_function(f: FunctionLike, base_n: int, k: int) -> np.ndarray:
+def lift_function(tdist: TransformedDistribution, f: FunctionLike) -> np.ndarray:
     """Compose a base test function with the star projection."""
-    vals = as_values(f, base_n)
-    _, base_index, _ = star_projection_table(base_n, k)
-    return vals[base_index]
+    return as_values(f, tdist.base.n)[tdist.base_index]
 
 
-def lifted_entropy_identity(dist: DenseDistribution, k: int, f: FunctionLike) -> Tuple[float, float]:
+def lifted_entropy_identity(tdist: TransformedDistribution, f: FunctionLike) -> Tuple[float, float]:
     """(base entropy of f, lifted entropy of the lifted f); these agree."""
-    base_ent = entropy_functional(dist, f)
-    tdist = k_transform(dist, k)
-    lifted_ent = entropy_functional(tdist.dist, lift_function(f, dist.n, k))
-    return base_ent, lifted_ent
+    base_ent = entropy_functional(tdist.base, f)
+    return base_ent, entropy_functional(tdist.dist, lift_function(tdist, f))
 
 
 def pinning_pushforward_pair(
-    dist: DenseDistribution, k: int, pin: Pinning
+    tdist: TransformedDistribution, pin: Pinning
 ) -> Tuple[DenseDistribution, DenseDistribution]:
     """Star pushforward of a pinned lift vs magnetized/conditioned base.
 
@@ -122,12 +119,8 @@ def pinning_pushforward_pair(
     bucket v)/k on buckets without a pinned +1 and conditioned to +1 on
     buckets with one.
     """
-    tdist = k_transform(dist, k)
-    conditioned = condition(tdist.dist, pin)
-    _, base_index, _ = star_projection_table(dist.n, k)
-    lhs = DenseDistribution(
-        dist.n, np.bincount(base_index, weights=conditioned.prob, minlength=1 << dist.n)
-    )
+    dist, k = tdist.base, tdist.k
+    lhs = _project(tdist, condition(tdist.dist, pin))
 
     pinned_plus = set()
     pinned_by_bucket = {v: 0 for v in range(dist.n)}
@@ -192,16 +185,16 @@ class InfluenceComparisonReport:
 
 
 def ktrans_influence_check(
-    dist: DenseDistribution, k: int, phi: np.ndarray, slack: float = 1e-9
+    tdist: TransformedDistribution, phi: np.ndarray, slack: float = 1e-9
 ) -> InfluenceComparisonReport:
     """Compare influence matrices of the magnetized lift and base."""
+    dist, k = tdist.base, tdist.k
     phi = np.asarray(phi, dtype=np.float64)
     if phi.shape != (dist.n, k):
         raise ValueError(f"phi must have shape ({dist.n},{k})")
     if np.any(phi <= 0) or not np.all(np.isfinite(phi)):
         raise ValueError("copy fields must be positive and finite")
     n = dist.n
-    tdist = k_transform(dist, k)
     lifted_fields = FieldAssignment.full(phi.reshape(-1))
     pik = magnetize(tdist.dist, lifted_fields)
     inf_k = signed_influence_matrix(pik)

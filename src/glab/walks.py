@@ -24,9 +24,9 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .capacity import LEVEL_BYTE_BUDGET, CapacityError
-from .exact import DenseDistribution, FunctionLike, as_values, entropy_functional
+from .exact import DenseDistribution, FunctionLike, as_values
 from .factorization import CheckReport, kappa, ubf_average
-from .spectral import HomogenizedDistribution, homogenize
+from .spectral import HomogenizedDistribution
 
 # Bytes per (top face, subface) pair, the unit of a level structure's
 # size.  Under tracemalloc build_levels peaked at 19-34 of them on
@@ -275,21 +275,24 @@ def walk_density_pair(levels: Levels, f_top: np.ndarray, j: int) -> Tuple[np.nda
     return f_j, dens
 
 
-def ubf_ed_identity(dist: DenseDistribution, f: FunctionLike, j: int) -> Tuple[float, float]:
+def ubf_ed_identity(
+    dist: DenseDistribution, levels: Levels, f: FunctionLike, j: int
+) -> Tuple[float, float]:
     """(uniform-block average at size j, level-entropy difference).
 
-    The average over size-j blocks of the expected conditional entropy of
-    f equals the drop in entropy of the homogenized lift of f between the
+    levels is the level structure of the homogenization of dist.  The
+    average over size-j blocks of the expected conditional entropy of f
+    equals the drop in entropy of the homogenized lift of f between the
     top level and level n-j.
     """
     n = dist.n
     if not 1 <= j <= n:
         raise ValueError(f"block size must lie in [1, n], got {j}")
+    if (levels.ground, levels.k) != (2 * n, n):
+        raise ValueError(f"levels must come from the homogenized {n}-site distribution")
     vals = as_values(f, n)
     lhs = ubf_average(dist, j, f)
 
-    hom = homogenize(dist)
-    levels = levels_from_homogenized(hom)
     # a top face's first n elements are the +1 sites of its configuration
     f_top = vals[np.asarray(levels.faces[levels.k]) & ((1 << n) - 1)]
     ent_top = vector_entropy(levels.top_prob, f_top)
@@ -300,8 +303,8 @@ def ubf_ed_identity(dist: DenseDistribution, f: FunctionLike, j: int) -> Tuple[f
 
 
 def ubf_ed_identity_check(
-    dist: DenseDistribution, f: FunctionLike, j: int, instance: str = "",
+    dist: DenseDistribution, levels: Levels, f: FunctionLike, j: int, instance: str = "",
     name: str = "block-average-vs-level-entropy-difference",
 ) -> CheckReport:
-    lhs, rhs = ubf_ed_identity(dist, f, j)
+    lhs, rhs = ubf_ed_identity(dist, levels, f, j)
     return CheckReport.eq(name, instance, lhs, rhs)

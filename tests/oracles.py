@@ -184,6 +184,39 @@ def oracle_mbf_rhs(dist, theta, f):
     return z_pi / theta ** n * total
 
 
+def oracle_compare_subset_route(dist, theta, v, f):
+    """Subset-average side of the magnetized site-covariance identity.
+
+    sum_R (1-theta)^|R| theta^(n-|R|) * pi(all plus on R) * the expected
+    site-v covariance of (f, log f) under pi conditioned to all plus on R,
+    one conditioned table per block R.  Like oracle_mbf_rhs it reuses the
+    package's magnetize, condition, superset_sums and expected_site_ment.
+    """
+    from glab.exact import (FieldAssignment, Pinning, as_values, condition,
+                            expected_site_ment, magnetize, popcount_table)
+    from glab.factorization import superset_sums
+    from glab.walks import mask_bits
+
+    n = dist.n
+    vals = as_values(f, n)
+    pi = magnetize(dist, FieldAssignment.uniform(n, theta))
+    log_theta = math.log(theta)
+    log_one_minus = math.log1p(-theta)
+
+    sup_p = superset_sums(pi.prob, np.ones(n))
+    sizes = popcount_table(n)
+    lhs = 0.0
+    for r_mask in range(1 << n):
+        mass = sup_p[r_mask]
+        if mass <= 0:
+            continue
+        size = int(sizes[r_mask])
+        weight = math.exp(size * log_one_minus + (n - size) * log_theta)
+        pinned = condition(pi, Pinning.all_plus(mask_bits(r_mask)))
+        lhs += weight * mass * expected_site_ment(pinned, vals, v)
+    return lhs
+
+
 def _elements(mask):
     return tuple(v for v in range(mask.bit_length()) if (mask >> v) & 1)
 

@@ -51,7 +51,7 @@ from glab.spectral import (
     homogenize,
     signed_influence_matrix,
 )
-from glab.transform import ktrans_influence_check, lifted_entropy_identity
+from glab.transform import k_transform, ktrans_influence_check, lifted_entropy_identity
 from glab.walks import (
     entropy_contraction_check,
     levels_from_homogenized,
@@ -129,7 +129,7 @@ def test_criterion_02_lift_influence_bounds(announce):
         d = random_dist(n, 3000 + i)
         gen = np.random.default_rng(4000 + i)
         phi = np.exp(gen.uniform(np.log(0.25), np.log(4.0), size=(n, k)))
-        rep = ktrans_influence_check(d, k, phi)
+        rep = ktrans_influence_check(k_transform(d, k), phi)
         worst = max(rep.max_cross_violation, rep.max_self_violation, rep.max_rowsum_violation)
         if not rep.passed or worst > 1e-9:
             bad.append((i, n, k, worst))
@@ -153,7 +153,7 @@ def test_criterion_04_lifted_entropy(announce):
         k = 2 + (i // 3) % 3
         d = random_dist(n, 6000 + i)
         f = random_positive_f(n, 6500 + i)
-        lhs, rhs = lifted_entropy_identity(d, k, f)
+        lhs, rhs = lifted_entropy_identity(k_transform(d, k), f)
         if abs(lhs - rhs) > 1e-9 * max(abs(lhs), abs(rhs), 1e-300):
             bad.append((i, n, k, lhs, rhs))
     announce(4, "lifted entropy identity", not bad, 60, str(bad[:3]))
@@ -283,8 +283,9 @@ def test_criterion_10_walk_contraction(announce):
         n = 2 + i % 3
         d = random_gibbs(n, 14_000 + i)
         f = random_positive_f(n, 14_500 + i)
+        levels = levels_from_homogenized(homogenize(d))
         for j in range(1, n + 1):
-            rep = ubf_ed_identity_check(d, f, j)
+            rep = ubf_ed_identity_check(d, levels, f, j)
             if not rep.passed:
                 bad.append(("ubf-ed", i, j, rep.lhs, rep.rhs))
     announce(10, "down-up walk contraction and level identities", not bad, 180, str(bad[:3]))

@@ -14,7 +14,6 @@ from glab.exact import (
     enumerate_gibbs,
     expected_site_ment,
     flip,
-    flip_function,
     kl_divergence,
     magnetize,
     magnetized_partition,
@@ -106,15 +105,6 @@ def test_flip_moves_mass():
     d = point_mass(2, 0b00)
     f = flip(d, [-1, -1])
     assert f.prob[0b11] == pytest.approx(1.0)
-
-
-def test_flip_function_pairs_with_flip():
-    d = random_dist(3, 2)
-    f = random_positive_f(3, 3)
-    chi = [-1, 1, -1]
-    lhs = float(np.dot(d.prob, f))
-    rhs = float(np.dot(flip(d, chi).prob, flip_function(f, 3, chi)))
-    assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_entropy_functional_known_value():

@@ -22,7 +22,6 @@ from glab.factorization import (
     hf_pair,
     hypergeo_concentration,
     hypergeo_concentration_check,
-    hypergeo_logpmf,
     hypergeo_pmf,
     hypergeo_pmf_table,
     hypergeo_sample,
@@ -138,15 +137,6 @@ def test_hypergeo_support_bounds():
     sup = list(hypergeo_support(spec))
     assert all(sum(a) == 4 and max(a) <= 2 for a in sup)
     assert len(sup) == len(set(sup))
-
-
-def test_hypergeo_logpmf_consistent():
-    spec = HyperGeoSpec(n=3, k=4, ell=6)
-    for a in hypergeo_support(spec):
-        assert math.exp(hypergeo_logpmf(spec, a)) == pytest.approx(
-            hypergeo_pmf(spec, a), rel=1e-10
-        )
-    assert hypergeo_logpmf(spec, (6, 0, 0)) == -math.inf
 
 
 def test_hypergeo_sampler_matches_pmf():

@@ -39,7 +39,12 @@ from glab.glauber import (
 )
 from glab.model import IsingModel, cycle_edges
 
-from oracles import oracle_pinned_dobrushin_worst, oracle_tmix, oracle_transition
+from oracles import (
+    oracle_compare_subset_route,
+    oracle_pinned_dobrushin_worst,
+    oracle_tmix,
+    oracle_transition,
+)
 from util import random_dist, random_gibbs, random_positive_f, regime_grid
 
 SINGLE_EDGE = IsingModel(n=2, edges=[(0, 1)], beta=0.5, lam=(1.0, 1.0))
@@ -176,6 +181,24 @@ def test_worst_tv_monotone():
         prev = cur
 
 
+def test_mixing_bracket_reads_every_squaring():
+    from glab.glauber import _mixing_bracket
+
+    eps = 0.25
+    for d in (random_gibbs(3, 62),
+              enumerate_gibbs(IsingModel(n=4, edges=cycle_edges(4), beta=0.5, lam=(1.0,) * 4))):
+        t_mix, bracket = _mixing_bracket(d, eps)
+        assert t_mix == mixing_time_exact(d, eps)
+        ts = [t for t, _ in bracket]
+        assert ts == [1 << i for i in range(len(ts))]
+        assert ts[-1] // 2 < t_mix <= ts[-1]
+        tm = transition_matrix(d)
+        for t, tv in bracket:
+            want = stationary_distance_profile(tm, np.linalg.matrix_power(tm.dense(), t))
+            assert tv == pytest.approx(want, rel=1e-12, abs=1e-15)
+        assert all(tv > eps for _, tv in bracket[:-1]) and bracket[-1][1] <= eps
+
+
 def test_mixing_support_cap(monkeypatch):
     import glab.glauber as gl
 
@@ -251,6 +274,20 @@ def test_compare_identity_random():
         for v in range(3):
             rep = compare_identity_check(d, 0.5, v, f)
             assert rep.passed, rep.to_json()
+
+
+def test_compare_identity_subset_route_matches_oracle():
+    from glab.exact import enumerate_gibbs
+
+    dists = [enumerate_gibbs(m) for _, m in regime_grid()]
+    dists += [random_dist(n, 90 + n, zero_frac=0.3) for n in range(3, 7)]
+    for d in dists:
+        f = random_positive_f(d.n, 93)
+        for theta in (0.3, 0.5, 0.75):
+            for v in range(d.n):
+                got = compare_identity_check(d, theta, v, f).lhs
+                want = oracle_compare_subset_route(d, theta, v, f)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_compare_identity_single_site():

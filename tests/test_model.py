@@ -15,8 +15,6 @@ from glab.model import (
     normalize_edges,
     parse_model,
     path_edges,
-    potential_sup,
-    potential_sup_grid,
     spins_from_index,
     star_edges,
     uniqueness_thresholds,
@@ -80,11 +78,6 @@ def test_config_index_round_trip():
 def test_flip_direction():
     m = IsingModel(n=3, edges=[], beta=1.0, lam=(3.0, 0.5, 1.0))
     assert list(flip_direction(m)) == [1, -1, 1]
-
-
-def test_potential_sup_matches_grid():
-    for beta in (0.4, 0.7, 1.0, 1.8):
-        assert potential_sup(beta) == pytest.approx(potential_sup_grid(beta), abs=1e-6)
 
 
 def test_parse_model_rejects_unknown_keys():

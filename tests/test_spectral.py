@@ -8,7 +8,6 @@ from glab.spectral import (
     FieldSamplerConfig,
     correlation_matrix,
     dobrushin_matrix,
-    generating_polynomial,
     homog_spectrum_check,
     homogenize,
     match_spectra,
@@ -101,11 +100,6 @@ def test_homog_spectrum_random_fields():
         d = random_gibbs(4, seed + 300)
         out = homog_spectrum_check(d)
         assert out["pass"], out["matching_distance"]
-
-
-def test_generating_polynomial_normalization():
-    d = random_dist(3, 4)
-    assert generating_polynomial(d, np.ones(3)) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_si_sup_estimate_dominates_plain_norm():

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from glab.exact import Pinning, entropy_functional, total_variation
 from glab.transform import (
     bucket_field_average,
-    copy_site,
     k_transform,
     ktrans_influence_check,
     lift_function,
@@ -18,12 +17,6 @@ from glab.transform import (
 )
 
 from util import random_dist, random_gibbs, random_positive_f
-
-
-def test_copy_site_layout():
-    assert copy_site(0, 0, 3) == 0
-    assert copy_site(1, 0, 3) == 3
-    assert copy_site(1, 2, 3) == 5
 
 
 def test_star_projection_counts():
@@ -60,7 +53,7 @@ def test_transform_mass_split_is_uniform():
 
 def test_lift_function_composes():
     f = random_positive_f(2, 4)
-    lifted = lift_function(f, 2, 2)
+    lifted = lift_function(k_transform(random_dist(2, 4), 2), f)
     _, base_index, _ = star_projection_table(2, 2)
     assert np.array_equal(lifted, f[base_index])
 
@@ -68,30 +61,34 @@ def test_lift_function_composes():
 def test_lifted_entropy_identity():
     for seed in range(10):
         d = random_dist(3, seed + 10)
-        f = random_positive_f(3, seed + 20)
-        base, lifted = lifted_entropy_identity(d, 3, f)
-        assert lifted == pytest.approx(base, rel=1e-10, abs=1e-12)
-        assert base == pytest.approx(entropy_functional(d, f), rel=1e-12)
+        td = k_transform(d, 3)
+        for i in range(3):
+            f = random_positive_f(3, seed + 20 + 100 * i)
+            base, lifted = lifted_entropy_identity(td, f)
+            assert lifted == pytest.approx(base, rel=1e-10, abs=1e-12)
+            assert base == pytest.approx(entropy_functional(d, f), rel=1e-12)
+            # one lift reused across the fs gives what a fresh lift per f gives
+            assert (base, lifted) == lifted_entropy_identity(k_transform(d, 3), f)
 
 
 def test_pinned_pushforward_minus():
     for seed in range(5):
         d = random_gibbs(3, seed + 40)
-        lhs, rhs = pinning_pushforward_pair(d, 2, Pinning((0,), (-1,)))
+        lhs, rhs = pinning_pushforward_pair(k_transform(d, 2), Pinning((0,), (-1,)))
         assert total_variation(lhs, rhs) < 1e-10
 
 
 def test_pinned_pushforward_plus_and_mixed():
     d = random_gibbs(3, 77)
-    lhs, rhs = pinning_pushforward_pair(d, 3, Pinning((0,), (1,)))
+    lhs, rhs = pinning_pushforward_pair(k_transform(d, 3), Pinning((0,), (1,)))
     assert total_variation(lhs, rhs) < 1e-10
     # one +1 copy in bucket 0, one -1 copy in bucket 1
     pin = Pinning((0, 3), (1, -1))
-    lhs, rhs = pinning_pushforward_pair(d, 3, pin)
+    lhs, rhs = pinning_pushforward_pair(k_transform(d, 3), pin)
     assert total_variation(lhs, rhs) < 1e-10
     # two -1 copies in the same bucket
     pin = Pinning((3, 4), (-1, -1))
-    lhs, rhs = pinning_pushforward_pair(d, 3, pin)
+    lhs, rhs = pinning_pushforward_pair(k_transform(d, 3), pin)
     assert total_variation(lhs, rhs) < 1e-10
 
 
@@ -105,7 +102,7 @@ def test_ktrans_influence_check_passes():
     for seed in range(6):
         d = random_gibbs(3, seed + 60)
         phi = np.exp(gen.uniform(math.log(0.25), math.log(4.0), size=(3, 2)))
-        rep = ktrans_influence_check(d, 2, phi)
+        rep = ktrans_influence_check(k_transform(d, 2), phi)
         assert rep.passed, rep.to_json()
         assert rep.max_cross_violation <= 1e-9
         assert rep.max_self_violation <= 1e-9

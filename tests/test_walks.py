@@ -219,20 +219,25 @@ def random_positive_f_for(levels, seed):
 def test_ubf_ed_identity_all_j():
     d = random_gibbs(4, 23)
     f = random_positive_f(4, 24)
+    levels = levels_from_homogenized(homogenize(d))
     for j in range(1, 5):
-        lhs, rhs = ubf_ed_identity(d, f, j)
+        lhs, rhs = ubf_ed_identity(d, levels, f, j)
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
-        assert ubf_ed_identity_check(d, f, j).passed
+        assert ubf_ed_identity_check(d, levels, f, j).passed
     # j = n is the plain entropy
-    lhs, _ = ubf_ed_identity(d, f, 4)
+    lhs, _ = ubf_ed_identity(d, levels, f, 4)
     assert lhs == pytest.approx(entropy_functional(d, f), rel=1e-10)
+    # the level structure must be that of the distribution's homogenization
+    with pytest.raises(ValueError, match="homogenized 4-site"):
+        ubf_ed_identity(d, levels_from_homogenized(homogenize(random_gibbs(3, 23))), f, 2)
 
 
 def test_ubf_ed_identity_matches_ubf_average():
     d = random_gibbs(3, 29)
     f = random_positive_f(3, 30)
+    levels = levels_from_homogenized(homogenize(d))
     for j in (1, 2, 3):
-        lhs, _ = ubf_ed_identity(d, f, j)
+        lhs, _ = ubf_ed_identity(d, levels, f, j)
         assert lhs == pytest.approx(ubf_average(d, j, f), rel=1e-12)
 
 
