@@ -11,9 +11,11 @@ import os
 
 DEFAULT_EXACT_LIMIT = 22
 
-# Bytes of dense m x m arrays an exact mixing-time computation may hold at
-# once: 2 GiB admits 4096 support states (the 12-site cycle) on an 8 GB
-# machine and refuses 8192.
+# Bytes of m x R row arrays an exact mixing-time computation may hold at
+# once, three of them for R stepped rows over m support states (24 m R
+# bytes).  2 GiB admits every row of m = 8192 states (13 sites without
+# symmetry) and refuses m = 16384; the uniform-field cycle, stepping one
+# row per orbit, fits up to 16 sites (m = 65536, R = 1162) and not 17.
 MIXING_BYTE_BUDGET = 2 ** 31
 
 # Bytes a down-up walk level structure may take, counted per (top face,

@@ -529,12 +529,12 @@ def _mixing_report(dist, eps: float, restarts: int, seed: int, t_mix: int) -> di
 
 
 def _suite_mixing(model, dist, cfg, inst):
-    t_mix, bracket = _mixing_bracket(dist, 0.25)
+    t_mix, tvs = _mixing_bracket(dist, 0.25)
     report = _mixing_report(dist, 0.25, min(8, max(2, cfg.batch)), cfg.seed, t_mix)
     lam_ratio = 2.0 * float(np.max(model.lam) / np.min(model.lam))
-    # one check per squaring of the bracket that found t_mix
-    checks = [CheckReport.le(f"worst-tv-monotone-t{t}", inst, cur, prev)
-              for (_, prev), (t, cur) in zip(bracket, bracket[1:])]
+    # worst-start TV at each power of two t <= t_mix against TV at t/2
+    checks = [CheckReport.le(f"worst-tv-monotone-t{t}", inst, tvs[t], tvs[t // 2])
+              for t in (1 << i for i in range(1, t_mix.bit_length()))]
     payload = {
         "mixing_report": report,
         "bound_shapes": {

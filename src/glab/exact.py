@@ -41,12 +41,14 @@ class DenseDistribution:
     """Probability table over {-1,+1}^n, bit-packed indexing.
 
     log_partition optionally records the log normalizing constant of the
-    weights the table was built from (set by enumerate_gibbs).
+    weights the table was built from, and model the Ising model itself
+    (both set by enumerate_gibbs only; every derived table drops model).
     """
 
     n: int
     prob: np.ndarray
     log_partition: Optional[float] = None
+    model: Optional[IsingModel] = None
 
     def __post_init__(self):
         if self.n < 0:
@@ -182,13 +184,13 @@ class FieldAssignment:
 
 
 def enumerate_gibbs(model: IsingModel) -> DenseDistribution:
-    """Exact Gibbs table; log_partition carries log Z."""
+    """Exact Gibbs table; log_partition carries log Z, model the source."""
     logw = log_weight_table(model)
     shift = float(np.max(logw))
     w = np.exp(logw - shift)
     total = float(np.sum(w))
     log_z = math.log(total) + shift
-    return DenseDistribution(model.n, w / total, log_partition=log_z)
+    return DenseDistribution(model.n, w / total, log_partition=log_z, model=model)
 
 
 def distribution_from_weights(weights: Sequence[float]) -> DenseDistribution:

@@ -10,6 +10,13 @@ exact worst-start total-variation mixing times, runs the chain with
 counter-based randomness, and packages the end-to-end verification of
 the marginal, contraction, and support-size bounds used by the mixing
 analysis of extreme-field models.
+
+Exact mixing times step the rows P^t(x,.) with the sparse kernel, one
+start x per orbit of the model's automorphism group (site permutations
+that keep edges and fields, possibly composed with the global flip):
+the chain commutes with each of them, so every start in an orbit is
+equally far from stationarity.  A table without a model has the
+trivial group and steps every support row.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from .exact import (
     site_ment_profile,
 )
 from .factorization import CheckReport, superset_sums
-from .model import IsingModel, flip_direction
+from .model import IsingModel, automorphism_generators, flip_direction
 from .spectral import dobrushin_matrix
 from .rng import derive_generator, uniform_pairs
 
@@ -300,66 +307,105 @@ def mls_mixing_bound(rho: float, mu_min: float, eps: float) -> float:
 # exact mixing time
 
 
-def stationary_distance_profile(tm: TransitionMatrix, power: np.ndarray) -> float:
-    """Worst-start total variation between the rows of P^t and pi."""
-    return 0.5 * float(np.max(np.sum(np.abs(power - tm.stationary[None, :]), axis=1)))
+def orbit_representatives(dist: DenseDistribution) -> np.ndarray:
+    """Support positions of one state per orbit of the model's
+    automorphism group, the smallest of each orbit.
 
-
-def mixing_time_exact(dist: DenseDistribution, eps: float, max_doublings: int = 40) -> int:
-    """Smallest t with worst-start TV distance at most eps.
-
-    Exact dense computation over m support states, capped by a byte
-    budget.  Worst-start TV is nonincreasing in t, so doubling brackets
-    the answer and a linear scan inside the bracket finds it.
+    The group is the one automorphism_generators finds for dist.model; a
+    table without a model has the trivial group, and every support state
+    is its own representative.
     """
-    return _mixing_bracket(dist, eps, max_doublings)[0]
+    # imported where used: csgraph adds about 1 MB of resident memory to
+    # every process that imports glab
+    from scipy.sparse.csgraph import connected_components
+
+    n = dist.n
+    support = dist.support_indices.astype(np.int64)
+    m = support.size
+    pos = -np.ones(dist.prob.size, dtype=np.int64)
+    pos[support] = np.arange(m)
+    gens = automorphism_generators(dist.model) if dist.model is not None else []
+    graph = sp.csr_matrix((m, m))
+    for image, flipped in gens:
+        mapped = np.zeros(m, dtype=np.int64)
+        for v in range(n):
+            mapped |= ((support >> v) & 1) << image[v]
+        if flipped:
+            mapped ^= (1 << n) - 1
+        if np.any(pos[mapped] < 0):
+            # float underflow broke the table's symmetry; skip the generator
+            continue
+        graph = graph + sp.csr_matrix((np.ones(m), (np.arange(m), pos[mapped])), shape=(m, m))
+    _, labels = connected_components(graph, directed=False)
+    return np.unique(labels, return_index=True)[1]
 
 
-def _mixing_bracket(
-    dist: DenseDistribution, eps: float, max_doublings: int = 40
-) -> Tuple[int, List[Tuple[int, float]]]:
-    """(exact mixing time, [(t, worst-start TV at t)] for t = 1, 2, 4, ...).
+def mixing_time_exact(dist: DenseDistribution, eps: float) -> int:
+    """Smallest t with worst-start TV distance at most eps."""
+    return _mixing_bracket(dist, eps)[0]
 
-    The list holds every power of two that the doubling bracket squares
-    to, ending at the first one within eps; it is empty when t = 0
-    already is.
+
+# a worst-start TV this close to eps may fall on either side of it for
+# states of one orbit, whose table entries can differ in the last bits
+_ORBIT_MARGIN = 1e-12
+
+
+def _mixing_bracket(dist: DenseDistribution, eps: float) -> Tuple[int, np.ndarray]:
+    """(exact mixing time t, worst-start TV at every step 0..t).
+
+    The kernel commutes with every automorphism of the model and the
+    stationary law is invariant under it, so TV(P^t(x,.), pi) is the same
+    for every x in an orbit: stepping the rows of one representative per
+    orbit gives the exact worst start.  When some step's TV lies within
+    _ORBIT_MARGIN of eps, every support row is stepped instead.  Both
+    runs are capped by a byte budget on the live row arrays.
     """
+    from scipy.sparse.csgraph import connected_components
+
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0,1)")
-    m = int(dist.support_indices.size)
-    # live m x m float64 arrays at the peak: the kernel, the identity, the
-    # bracketing powers, a new product and two TV temporaries
-    need = 7 * 8 * m * m
+    tm = transition_matrix(dist, validate=False)
+    classes = connected_components(tm.matrix, directed=False, return_labels=False)
+    if classes > 1:
+        raise RuntimeError(f"chain is reducible: its kernel splits the support into "
+                           f"{classes} classes, so it never mixes")
+    reps = orbit_representatives(dist)
+    t_mix, tvs, margin = _step_rows(tm, reps, eps)
+    if margin < _ORBIT_MARGIN and reps.size < tm.size:
+        t_mix, tvs, _ = _step_rows(tm, np.arange(tm.size), eps)
+    return t_mix, tvs
+
+
+def _step_rows(
+    tm: TransitionMatrix, rows: np.ndarray, eps: float
+) -> Tuple[int, np.ndarray, float]:
+    """Step the rows P^t(x,.) for x in rows until their worst TV to pi is
+    at most eps: (t, worst TV at every step 0..t, least |TV - eps| seen)."""
+    m, r = tm.size, rows.size
+    # live m x r float64 arrays at the peak: the rows, their next step
+    # and the TV buffer
+    need = 3 * 8 * m * r
     if need > MIXING_BYTE_BUDGET:
         raise CapacityError(
-            f"mixing over {m} support states needs {need} bytes of dense "
-            f"arrays, above the budget of {MIXING_BYTE_BUDGET} bytes")
-    tm = transition_matrix(dist, validate=False)
-    p_dense = tm.dense()
-    ident = np.eye(m)
-    if stationary_distance_profile(tm, ident) <= eps:
-        return 0, []
-
+            f"mixing over {m} support states needs {need} bytes for {r} rows, "
+            f"above the budget of {MIXING_BYTE_BUDGET} bytes")
     step_op = tm.matrix.T.tocsr()
-
-    prev_t, prev_m = 0, ident
-    cur_t, cur_m = 1, p_dense
-    bracket = [(cur_t, stationary_distance_profile(tm, cur_m))]
-    while bracket[-1][1] > eps:
-        if cur_t >= (1 << max_doublings):
-            raise RuntimeError(f"no mixing below 2^{max_doublings} steps; chain may be reducible")
-        prev_t, prev_m = cur_t, cur_m
-        cur_m = cur_m @ cur_m
-        cur_t *= 2
-        bracket.append((cur_t, stationary_distance_profile(tm, cur_m)))
-
-    t = prev_t
-    mat = prev_m
+    pi = tm.stationary[:, None]
+    # column j holds P^t(rows[j], .), so one step is P^T @ x
+    x = np.zeros((m, r))
+    x[rows, np.arange(r)] = 1.0
+    buf = np.empty((m, r))
+    tvs: List[float] = []
+    margin = math.inf
     while True:
-        mat = (step_op @ mat.T).T
-        t += 1
-        if stationary_distance_profile(tm, mat) <= eps:
-            return t, bracket
+        np.subtract(x, pi, out=buf)
+        np.abs(buf, out=buf)
+        tv = 0.5 * float(np.max(np.sum(buf, axis=0)))
+        tvs.append(tv)
+        margin = min(margin, abs(tv - eps))
+        if tv <= eps:
+            return len(tvs) - 1, np.asarray(tvs), margin
+        x = step_op @ x
 
 
 # ---------------------------------------------------------------------------

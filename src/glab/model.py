@@ -179,6 +179,96 @@ def flip_direction(model: IsingModel) -> np.ndarray:
     return np.where(model.lam >= 1.0, 1, -1).astype(np.int64)
 
 
+Automorphism = Tuple[Tuple[int, ...], bool]
+
+
+def automorphism_generators(model: IsingModel) -> List[Automorphism]:
+    """Generators (image, flip) of the model's automorphism group.
+
+    An automorphism is a site permutation g, site v going to image[v],
+    that keeps the edge set and has lambda_{g(v)} == lambda_v for every
+    v; with flip set it also negates every spin, and then needs
+    lambda_{g(v)} == 1/lambda_v instead.  Fields are compared exactly, so
+    the check is combinatorial and never a float tolerance on the table.
+
+    The list is a strong generating set.  Going from the last site to
+    the first, it adds for each site i an automorphism that fixes the
+    sites before i and takes i to a site the generators so far cannot,
+    until none is left.  The group order is the product over i of the
+    orbit size of i under the generators fixing the sites before i,
+    doubled when the pure flip is an automorphism.
+    """
+    n = model.n
+    adj = [set(a) for a in model.neighbors()]
+    lam = [float(x) for x in model.lam]
+    inv = [1.0 / x for x in lam]
+
+    def find(i: int, j: int, flip: bool) -> Optional[Automorphism]:
+        """An automorphism fixing the sites before i and taking i to j."""
+        # sites before i and i itself first, then breadth first, so that a
+        # later site's image is a neighbor of an earlier site's image
+        order = list(range(i + 1))
+        placed = set(order)
+        k = 0
+        while len(order) < n:
+            if k == len(order):
+                order.append(min(set(range(n)) - placed))
+                placed.add(order[-1])
+            for u in sorted(adj[order[k]] - placed):
+                order.append(u)
+                placed.add(u)
+            k += 1
+        image = [-1] * n
+        used = [False] * n
+
+        def extend(k: int) -> bool:
+            if k == n:
+                return True
+            v = order[k]
+            if v <= i:
+                cands = [v if v < i else j]
+            else:
+                anchor = next((u for u in adj[v] if image[u] >= 0), None)
+                cands = sorted(adj[image[anchor]]) if anchor is not None else range(n)
+            want = inv[v] if flip else lam[v]
+            for w in cands:
+                if used[w] or lam[w] != want or len(adj[w]) != len(adj[v]):
+                    continue
+                if any((u in adj[v]) != (image[u] in adj[w]) for u in order[:k]):
+                    continue
+                image[v], used[w] = w, True
+                if extend(k + 1):
+                    return True
+                image[v], used[w] = -1, False
+            return False
+
+        return (tuple(image), flip) if extend(0) else None
+
+    def orbit(i: int, gens: List[Automorphism]) -> set:
+        seen, todo = {i}, [i]
+        while todo:
+            v = todo.pop()
+            for image, _ in gens:
+                if image[v] not in seen:
+                    seen.add(image[v])
+                    todo.append(image[v])
+        return seen
+
+    gens: List[Automorphism] = []
+    if lam == inv:
+        gens.append((tuple(range(n)), True))
+    for i in reversed(range(n)):
+        reached = orbit(i, gens)
+        for j in range(i + 1, n):
+            if j in reached:
+                continue
+            g = find(i, j, False) or find(i, j, True)
+            if g is not None:
+                gens.append(g)
+                reached = orbit(i, gens)
+    return gens
+
+
 def parse_model(obj: dict) -> IsingModel:
     """Build a model from its JSON object form.
 

@@ -132,6 +132,81 @@ def oracle_tmix(dist, eps):
             raise RuntimeError("oracle did not mix")
 
 
+def stationary_distance_profile(tm, power):
+    """Worst-start total variation between the rows of P^t and pi."""
+    return 0.5 * float(np.max(np.sum(np.abs(power - tm.stationary[None, :]), axis=1)))
+
+
+def oracle_mixing_bracket(dist, eps, max_doublings=40):
+    """(exact mixing time, [(t, worst-start TV at t)] for t = 1, 2, 4, ...)
+    by squaring the dense support kernel.
+
+    The list holds every power of two that the doubling bracket squares
+    to, ending at the first one within eps; it is empty when t = 0
+    already is.  A linear scan inside the last bracket finds the time.
+    The kernel is the package's, over the support only: starts off the
+    support are not starts of the chain.
+    """
+    from glab.glauber import transition_matrix
+
+    tm = transition_matrix(dist, validate=False)
+    p_dense = tm.dense()
+    ident = np.eye(tm.size)
+    if stationary_distance_profile(tm, ident) <= eps:
+        return 0, []
+    prev_t, prev_m = 0, ident
+    cur_t, cur_m = 1, p_dense
+    bracket = [(cur_t, stationary_distance_profile(tm, cur_m))]
+    while bracket[-1][1] > eps:
+        if cur_t >= (1 << max_doublings):
+            raise RuntimeError(f"no mixing below 2^{max_doublings} steps")
+        prev_t, prev_m = cur_t, cur_m
+        cur_m = cur_m @ cur_m
+        cur_t *= 2
+        bracket.append((cur_t, stationary_distance_profile(tm, cur_m)))
+    t = prev_t
+    mat = prev_m
+    while True:
+        mat = mat @ p_dense
+        t += 1
+        if stationary_distance_profile(tm, mat) <= eps:
+            return t, bracket
+
+
+def oracle_tv_profile(dist, t_max):
+    """Worst-start TV at t = 0..t_max from dense powers of the support
+    kernel, one product per step."""
+    from glab.glauber import transition_matrix
+
+    tm = transition_matrix(dist, validate=False)
+    p_dense = tm.dense()
+    mat = np.eye(tm.size)
+    out = []
+    for _ in range(t_max + 1):
+        out.append(stationary_distance_profile(tm, mat))
+        mat = mat @ p_dense
+    return np.asarray(out)
+
+
+def oracle_automorphisms(model):
+    """Every (image, flip) automorphism of a model, by trying all n!
+    site permutations with and without the global flip."""
+    from itertools import permutations
+
+    n = model.n
+    edges = set(model.edges)
+    lam = [float(x) for x in model.lam]
+    out = set()
+    for image in permutations(range(n)):
+        if {tuple(sorted((image[u], image[v]))) for u, v in edges} != edges:
+            continue
+        if all(lam[image[v]] == lam[v] for v in range(n)):
+            out.add((image, False))
+        if all(lam[image[v]] == 1.0 / lam[v] for v in range(n)):
+            out.add((image, True))
+    return out
+
+
 def oracle_pinned_dobrushin_worst(dist):
     """Worst one- or inf-norm of the Dobrushin matrix over every pinning.
 

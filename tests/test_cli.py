@@ -121,6 +121,20 @@ def test_run_suite_reruns_byte_identical(tmp_path, model_file):
     assert a == b
 
 
+def test_mixing_suite_checks_powers_of_two_up_to_t_mix(tmp_path):
+    from glab.glauber import _mixing_bracket
+
+    model = IsingModel(n=5, edges=cycle_edges(5), beta=0.6, lam=(2.0, 0.5, 2.0, 0.5, 2.0))
+    path = tmp_path / "cycle5.json"
+    path.write_text(json.dumps(model_to_json(model)))
+    result = run_suite(RunConfig(command="mixing", model_path=str(path), seed=7,
+                                 out_dir=str(tmp_path / "out")))
+    assert result.payload["mixing_report"]["t_mix_exact"] == 11
+    _, tvs = _mixing_bracket(enumerate_gibbs(model), 0.25)
+    assert [(c.name, c.lhs, c.rhs) for c in result.checks] == [
+        (f"worst-tv-monotone-t{t}", tvs[t], tvs[t // 2]) for t in (2, 4, 8)]
+
+
 def test_run_suite_rejects_unknown():
     with pytest.raises(ValueError):
         run_suite(RunConfig(command="bogus", model_path="x", seed=0))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from glab.capacity import CapacityError
 from glab.exact import (
@@ -16,6 +17,7 @@ from glab.exact import (
     uniform_distribution,
 )
 from glab.glauber import (
+    _mixing_bracket,
     compare_identity_check,
     dirichlet_form,
     dirichlet_form_inner,
@@ -29,21 +31,24 @@ from glab.glauber import (
     mls_estimate,
     mls_mixing_bound,
     mls_ratio,
+    orbit_representatives,
     power_iteration_two_norm,
     run_chain,
-    stationary_distance_profile,
     tensorization_chain_check,
     tensorization_change_base_check,
     transition_matrix,
     verification_bounds_check,
 )
-from glab.model import IsingModel, cycle_edges
+from glab.model import IsingModel, complete_edges, cycle_edges, path_edges, star_edges
 
 from oracles import (
     oracle_compare_subset_route,
+    oracle_mixing_bracket,
     oracle_pinned_dobrushin_worst,
     oracle_tmix,
     oracle_transition,
+    oracle_tv_profile,
+    stationary_distance_profile,
 )
 from util import random_dist, random_gibbs, random_positive_f, regime_grid
 
@@ -181,34 +186,116 @@ def test_worst_tv_monotone():
         prev = cur
 
 
-def test_mixing_bracket_reads_every_squaring():
-    from glab.glauber import _mixing_bracket
-
+def test_mixing_bracket_reads_every_step():
     eps = 0.25
     for d in (random_gibbs(3, 62),
               enumerate_gibbs(IsingModel(n=4, edges=cycle_edges(4), beta=0.5, lam=(1.0,) * 4))):
-        t_mix, bracket = _mixing_bracket(d, eps)
+        t_mix, tvs = _mixing_bracket(d, eps)
         assert t_mix == mixing_time_exact(d, eps)
-        ts = [t for t, _ in bracket]
-        assert ts == [1 << i for i in range(len(ts))]
-        assert ts[-1] // 2 < t_mix <= ts[-1]
+        assert tvs.shape == (t_mix + 1,)
         tm = transition_matrix(d)
-        for t, tv in bracket:
+        for t, tv in enumerate(tvs):
             want = stationary_distance_profile(tm, np.linalg.matrix_power(tm.dense(), t))
             assert tv == pytest.approx(want, rel=1e-12, abs=1e-15)
-        assert all(tv > eps for _, tv in bracket[:-1]) and bracket[-1][1] <= eps
+        assert np.all(tvs[:-1] > eps) and tvs[-1] <= eps
+
+
+def _mixing_grid():
+    """(table, full support) per instance of the orbit-route oracle checks."""
+    def gibbs(label, n, edges, beta, lam):
+        d = enumerate_gibbs(IsingModel(n=n, edges=edges, beta=beta, lam=lam))
+        return pytest.param(d, True, id=label)
+
+    out = []
+    for n in range(4, 10):
+        alt = tuple((2.0, 0.5)[v % 2] for v in range(n))
+        out.append(gibbs(f"cycle{n}-uniform", n, cycle_edges(n), 0.6, (1.0,) * n))
+        out.append(gibbs(f"cycle{n}-alternating", n, cycle_edges(n), 0.6, alt))
+    out.append(gibbs("star6", 6, star_edges(6), 0.9, (1.0,) * 6))
+    for beta in (1.3, 2.5):
+        out.append(gibbs(f"K5-beta{beta}", 5, complete_edges(5), beta, (1.0,) * 5))
+    out.append(gibbs("path6", 6, path_edges(6), 0.6, (1.0,) * 6))
+    for n, seed in ((3, 62), (4, 64), (5, 65)):
+        out.append(pytest.param(random_gibbs(n, seed), True, id=f"random-gibbs-{n}-{seed}"))
+    out.append(pytest.param(random_dist(4, 3, zero_frac=0.3), False, id="random-dist-partial"))
+    return out
+
+
+@pytest.mark.parametrize("d,full", _mixing_grid())
+def test_mixing_orbit_route_matches_oracles(d, full):
+    eps = 0.25
+    tm = transition_matrix(d)
+    assert connected_components(tm.matrix, directed=False, return_labels=False) == 1
+    assert full == d.full_support()
+    t_mix, tvs = _mixing_bracket(d, eps)
+    want_t, bracket = oracle_mixing_bracket(d, eps)
+    assert t_mix == want_t
+    if full:
+        assert t_mix == oracle_tmix(d, eps)
+    np.testing.assert_allclose(tvs, oracle_tv_profile(d, t_mix), rtol=1e-12, atol=0)
+    for t, tv in bracket:
+        if t <= t_mix:
+            assert tvs[t] == pytest.approx(tv, rel=1e-12)
+
+
+def test_mixing_orbit_route_steps_fewer_rows():
+    d = enumerate_gibbs(IsingModel(n=6, edges=cycle_edges(6), beta=0.6, lam=(1.0,) * 6))
+    # 64 states of the uniform 6-cycle: 13 bracelets, 8 orbits once the
+    # global flip joins them
+    assert orbit_representatives(d).size == 8
+    assert orbit_representatives(flip(d, [1] * 6)).size == 64
+
+
+def test_mixing_falls_back_to_every_row_at_the_threshold(monkeypatch):
+    import glab.glauber as gl
+
+    d = enumerate_gibbs(IsingModel(n=6, edges=cycle_edges(6), beta=0.6, lam=(1.0,) * 6))
+    eps = float(oracle_tv_profile(d, 5)[5])
+    want_t, _ = oracle_mixing_bracket(d, eps)
+    calls = []
+    real = gl._step_rows
+
+    def spy(tm, rows, eps):
+        calls.append(rows.size)
+        return real(tm, rows, eps)
+
+    monkeypatch.setattr(gl, "_step_rows", spy)
+    assert mixing_time_exact(d, eps) == want_t
+    assert calls == [8, 64]
+    # the fallback is held to the byte budget too: 3 * 8 * 64 * 8 bytes
+    # admit the orbit rows, not all 64
+    monkeypatch.setattr(gl, "MIXING_BYTE_BUDGET", 3 * 8 * 64 * 8)
+    with pytest.raises(CapacityError, match="64 support states needs 98304 bytes for 64 rows"):
+        mixing_time_exact(d, eps)
+
+
+def test_mixing_reducible_chain_raises():
+    d = DenseDistribution(2, np.array([0.5, 0.0, 0.0, 0.5]))
+    with pytest.raises(RuntimeError, match="reducible"):
+        mixing_time_exact(d, 0.25)
 
 
 def test_mixing_support_cap(monkeypatch):
     import glab.glauber as gl
 
     d = random_gibbs(3, 63)
-    # 8 support states need 7 * 8 * 8^2 = 3584 bytes of dense arrays
-    monkeypatch.setattr(gl, "MIXING_BYTE_BUDGET", 3584)
+    # a table of a model without symmetry steps all 8 support rows: three
+    # live 8 x 8 float64 arrays are 3 * 8 * 8 * 8 = 1536 bytes
+    monkeypatch.setattr(gl, "MIXING_BYTE_BUDGET", 1536)
     assert mixing_time_exact(d, 0.25) >= 1
-    monkeypatch.setattr(gl, "MIXING_BYTE_BUDGET", 3583)
-    with pytest.raises(CapacityError, match="8 support states needs 3584 bytes"):
+    monkeypatch.setattr(gl, "MIXING_BYTE_BUDGET", 1535)
+    with pytest.raises(CapacityError, match="8 support states needs 1536 bytes"):
         mixing_time_exact(d, 0.25)
+
+
+def test_mixing_runs_past_the_dense_budget():
+    import glab.glauber as gl
+
+    d = enumerate_gibbs(IsingModel(n=13, edges=cycle_edges(13), beta=0.6, lam=(1.0,) * 13))
+    m = d.prob.size
+    # squaring dense m x m kernels held 7 of them, beyond the budget here
+    assert 7 * 8 * m * m > gl.MIXING_BYTE_BUDGET
+    assert mixing_time_exact(d, 0.25) == 35
 
 
 # ---------------------------------------------------------------------------

@@ -119,3 +119,73 @@ def test_spin_index_involution(idx):
     spins = spins_from_index(idx, 6)
     assert config_index(spins) == idx
     assert set(np.unique(spins)).issubset({-1, 1})
+
+
+# ---------------------------------------------------------------------------
+# automorphisms
+
+
+def _group_closure(gens, n):
+    """Every (image, flip) the generators compose to, with the identity."""
+    ident = (tuple(range(n)), False)
+    seen, todo = {ident}, [ident]
+    while todo:
+        image, flip = todo.pop()
+        for g_image, g_flip in gens:
+            comp = (tuple(g_image[image[v]] for v in range(n)), flip != g_flip)
+            if comp not in seen:
+                seen.add(comp)
+                todo.append(comp)
+    return seen
+
+
+def _alternating(n):
+    return tuple((2.0, 0.5)[v % 2] for v in range(n))
+
+
+AUTOMORPHISM_CASES = (
+    [pytest.param(IsingModel(n, cycle_edges(n), 0.6, (1.0,) * n), 4 * n, id=f"cycle{n}-uniform")
+     for n in range(3, 7)]
+    + [pytest.param(IsingModel(n, cycle_edges(n), 0.6, _alternating(n)),
+                    2 * n if n % 2 == 0 else 2, id=f"cycle{n}-alternating")
+       for n in range(3, 7)]
+    + [pytest.param(IsingModel(6, star_edges(6), 0.9, (1.0,) * 6), 2 * 120, id="star6"),
+       pytest.param(IsingModel(5, complete_edges(5), 1.3, (1.0,) * 5), 2 * 120, id="K5"),
+       pytest.param(IsingModel(5, path_edges(5), 0.6, (1.0,) * 5), 4, id="path5")]
+)
+
+
+@pytest.mark.parametrize("model,order", AUTOMORPHISM_CASES)
+def test_automorphism_generators(model, order):
+    from glab.exact import enumerate_gibbs
+    from glab.model import automorphism_generators
+
+    from oracles import oracle_automorphisms
+
+    n = model.n
+    gens = automorphism_generators(model)
+    table = enumerate_gibbs(model).prob
+    idx = np.arange(1 << n)
+    for image, flip in gens:
+        assert sorted(image) == list(range(n))
+        assert {tuple(sorted((image[u], image[v]))) for u, v in model.edges} == set(model.edges)
+        want = 1.0 / model.lam if flip else model.lam
+        assert np.array_equal(model.lam[list(image)], want)
+        mapped = np.zeros_like(idx)
+        for v in range(n):
+            mapped |= ((idx >> v) & 1) << image[v]
+        if flip:
+            mapped ^= (1 << n) - 1
+        np.testing.assert_allclose(table[mapped], table, rtol=1e-15, atol=0)
+    group = _group_closure(gens, n)
+    assert len(group) == order
+    assert group == oracle_automorphisms(model)
+
+
+def test_automorphisms_of_random_fields_are_trivial():
+    from glab.model import automorphism_generators
+
+    from util import random_model
+
+    for seed in range(10):
+        assert automorphism_generators(random_model(5, seed)) == []
