@@ -23,6 +23,13 @@ MIXING_BYTE_BUDGET = 2 ** 31
 # faces of size 12, exactly 1 GiB by that count) and refuses 13 sites.
 LEVEL_BYTE_BUDGET = 2 ** 30
 
+# (block, state) pairs a lifted block average may enumerate: C(nk, ell)
+# blocks of copy sites times (k+1)^n feasible lifted states.  On a 2-core
+# x86 machine (numpy 2.4) the 8-cycle at k = 2, ell = 8, 84.4M pairs,
+# took 1.8-2.2 s, about 4e7 pairs/s, so the budget is about 25 s of work.
+# It admits the 9-cycle at k = 2 (957M pairs at ell = 9).
+BLOCK_PAIR_BUDGET = 2 ** 30
+
 
 class CapacityError(Exception):
     """Raised when a request exceeds the exact-enumeration budget."""

@@ -29,9 +29,9 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .capacity import CapacityError
+from .capacity import BLOCK_PAIR_BUDGET, CapacityError, exact_limit
 from .exact import DenseDistribution, FunctionLike, as_values, entropy_functional
-from .transform import k_transform, lift_function
+from .transform import digit_outer_sum, feasible_lift
 
 DEFAULT_REL_SLACK = 1e-9
 DEFAULT_ABS_SLACK = 1e-12
@@ -209,10 +209,29 @@ def hypergeo_pmf(spec: HyperGeoSpec, counts: Sequence[int]) -> float:
     return float(Fraction(num, math.comb(spec.n * spec.k, spec.ell)))
 
 
-def hypergeo_pmf_table(spec: HyperGeoSpec) -> Tuple[List[Tuple[int, ...]], np.ndarray]:
-    """(support vectors, probabilities) with exact probabilities."""
-    support = list(hypergeo_support(spec))
-    probs = np.asarray([hypergeo_pmf(spec, a) for a in support])
+def hypergeo_pmf_table(spec: HyperGeoSpec) -> Tuple[np.ndarray, np.ndarray]:
+    """(support, probabilities): the count vectors as rows, in the order
+    of hypergeo_support, and their exact pmf values.
+
+    The numerators prod_v C(k, a_v) are integers, so each value is one
+    correctly rounded integer division, as in hypergeo_pmf.
+    """
+    n, k = spec.n, spec.k
+    support = np.zeros((1, 0), dtype=np.min_scalar_type(k))
+    remaining = np.array([spec.ell])
+    counts = np.arange(k + 1)
+    for v in range(n):
+        rest = remaining[:, None] - counts
+        row, a = np.nonzero((rest >= 0) & (rest <= k * (n - v - 1)))
+        support = np.concatenate([support[row], a[:, None].astype(support.dtype)], axis=1)
+        remaining = rest[row, a]
+    combs = [math.comb(k, a) for a in counts]
+    comb = np.array(combs, dtype=np.int64 if max(combs) ** n < 2 ** 63 else object)
+    num = np.ones(support.shape[0], dtype=comb.dtype)
+    for v in range(n):
+        num *= comb[support[:, v]]
+    denom = math.comb(n * k, spec.ell)
+    probs = np.array([x / denom for x in num.tolist()], dtype=np.float64)
     return support, probs
 
 
@@ -307,6 +326,63 @@ def _entropy_mass(gp: np.ndarray, gpf: np.ndarray, gpfl: np.ndarray) -> np.ndarr
     return np.maximum(vals, 0.0)
 
 
+# Byte bound on the (blocks, (k+1)^n) int64 group keys of one chunk of
+# blocks in _lift_block_average; the three tiled weight tables take three
+# times as much.  One chunk of the 8-cycle at k = 2 (one block, 52 KB of
+# keys) peaks at 323 KB under tracemalloc: the keys, the three bincount
+# sums and the entropy-mass intermediates.  Unless one block alone is
+# larger, each per-chunk array stays under glibc's default 128 KiB mmap
+# threshold, so chunks reuse heap memory instead of mapping fresh pages:
+# at k = 2, ell = 8 on the 8-cycle, 256 KiB chunks took 1.4-1.5 s
+# with the adaptive threshold but 3.0-3.6 s with it pinned at 128 KiB,
+# and 64 KiB chunks 1.8-2.2 s under both.
+_BLOCK_CHUNK_BYTES = 1 << 16
+
+
+def _lift_block_average(dist: DenseDistribution, k: int, ell: int, f: FunctionLike) -> float:
+    """Average over the size-ell blocks S of copy sites of the k-copy lift
+    of the expected entropy of the lifted f given the copies off S.
+
+    Runs on the (k+1)^n feasible lifts, listed by their bucket digits
+    (feasible_lift).  The copies off S read the digit d_v of bucket v
+    unless it is 0 or names a copy in S, so a state's group key keeps d_v
+    at place (k+1)^v exactly when copy (v, d_v - 1) lies off S.  A chunk
+    of blocks shares one bincount per weight, its keys offset by block.
+    """
+    n = dist.n
+    nk = n * k
+    if not 1 <= ell <= nk:
+        raise ValueError(f"block size must lie in [1, nk], got {ell}")
+    vals = as_values(f, n)
+    count = math.comb(nk, ell)
+    states = (k + 1) ** n
+    # one block's tables hold a few arrays of `states` entries, so they are
+    # capped like a table over exact_limit() sites
+    if states > 1 << exact_limit():
+        raise CapacityError(f"{states} lifted states exceed the table of the exact limit")
+    if count * states > BLOCK_PAIR_BUDGET:
+        raise CapacityError(f"{count} blocks x {states} lifted states exceed the budget "
+                            f"of {BLOCK_PAIR_BUDGET} (block, state) pairs")
+    base_index, weights = feasible_lift(dist, k)
+    lifted_f = vals[base_index]
+    rows = min(count, max(1, _BLOCK_CHUNK_BYTES // (8 * states)))
+    tables = [np.tile(t, rows) for t in (weights, weights * lifted_f, weights * _xlogx(lifted_f))]
+    place_values = np.arange(k + 1) * (k + 1) ** np.arange(n)[:, None]
+    blocks = itertools.combinations(range(nk), ell)
+    per_block: List[float] = []
+    for _ in range(0, count, rows):
+        sites = np.array(list(itertools.islice(blocks, rows)))
+        b = sites.shape[0]
+        in_block = np.zeros((b, n, k + 1), dtype=bool)
+        in_block[np.arange(b)[:, None], sites // k, sites % k + 1] = True
+        keys = digit_outer_sum(np.where(in_block, 0, place_values))
+        keys += np.arange(b)[:, None] * states
+        size = b * states
+        sums = [np.bincount(keys.ravel(), weights=t[:size], minlength=size) for t in tables]
+        per_block.extend(_entropy_mass(*sums).reshape(b, states).sum(axis=1).tolist())
+    return math.fsum(per_block) / count
+
+
 def subset_conditional_entropy(dist: DenseDistribution, sites: Sequence[int], f: FunctionLike) -> float:
     """Expected entropy of f under the conditional given the spins off `sites`.
 
@@ -331,17 +407,14 @@ def subset_conditional_entropy(dist: DenseDistribution, sites: Sequence[int], f:
 
 
 def ubf_average(dist: DenseDistribution, ell: int, f: FunctionLike) -> float:
-    """Average of subset_conditional_entropy over all size-ell blocks."""
-    n = dist.n
-    if not 1 <= ell <= n:
+    """Average of subset_conditional_entropy over all size-ell blocks.
+
+    The one-copy lift is the table itself, so this is the lifted block
+    average at k = 1.
+    """
+    if not 1 <= ell <= dist.n:
         raise ValueError(f"block size must lie in [1, n], got {ell}")
-    count = math.comb(n, ell)
-    if count > 10**6:
-        raise CapacityError(f"{count} blocks exceed the enumeration budget")
-    total = math.fsum(
-        subset_conditional_entropy(dist, S, f) for S in itertools.combinations(range(n), ell)
-    )
-    return total / count
+    return _lift_block_average(dist, 1, ell, f)
 
 
 def ubf_check(
@@ -440,22 +513,15 @@ def mbf_check(
 def hf_direct(dist: DenseDistribution, k: int, ell: int, f: FunctionLike) -> float:
     """Uniform-block average over size-ell blocks of the k-copy lift.
 
-    Brute force: lifts the distribution and the function, then averages
-    subset_conditional_entropy over all blocks of copy sites.
+    Brute force over blocks: for each of the C(nk, ell) blocks S of copy
+    sites, the expected entropy of the lifted f given the copies off S,
+    averaged.  Only the (k+1)^n feasible lifts (at most one plus copy per
+    bucket) carry mass, so each block groups just those states by the
+    copies off S.  Blocks are never merged by copy exchangeability; that
+    is hf_formula's route, which this one checks.  Raises CapacityError
+    when the C(nk, ell) * (k+1)^n (block, state) pairs exceed the budget.
     """
-    nk = dist.n * k
-    if not 1 <= ell <= nk:
-        raise ValueError(f"block size must lie in [1, nk], got {ell}")
-    count = math.comb(nk, ell)
-    if count > 10**6:
-        raise CapacityError(f"{count} blocks exceed the enumeration budget")
-    tdist = k_transform(dist, k)
-    fk = lift_function(tdist, f)
-    total = math.fsum(
-        subset_conditional_entropy(tdist.dist, S, fk)
-        for S in itertools.combinations(range(nk), ell)
-    )
-    return total / count
+    return _lift_block_average(dist, k, ell, f)
 
 
 def hf_formula(dist: DenseDistribution, k: int, ell: int, f: FunctionLike) -> float:
@@ -476,7 +542,7 @@ def hf_formula(dist: DenseDistribution, k: int, ell: int, f: FunctionLike) -> fl
     if not 1 <= ell <= n * k:
         raise ValueError(f"block size must lie in [1, nk], got {ell}")
     support, probs = hypergeo_pmf_table(HyperGeoSpec(n=n, k=k, ell=ell))
-    fields = np.asarray(support, dtype=np.float64) / k
+    fields = support / k
     return float(np.dot(probs, _magnetized_block_kernel(dist, fields, vals)))
 
 

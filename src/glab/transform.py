@@ -75,12 +75,42 @@ def star_projection_table(base_n: int, k: int) -> Tuple[np.ndarray, np.ndarray, 
     return feasible, base_index, plus_total
 
 
-def k_transform(dist: DenseDistribution, k: int) -> TransformedDistribution:
-    """Lift a base distribution to its k-copy version."""
+def digit_outer_sum(per_digit: np.ndarray) -> np.ndarray:
+    """sum_v per_digit[..., v, d_v] for every digit vector d.
+
+    per_digit has shape (..., n, k+1).  The result has shape
+    (..., (k+1)^n) and lists the digit vectors with bucket v at place
+    (k+1)^v, which is the order of the feasible lifts (see feasible_lift).
+    """
+    per_digit = np.asarray(per_digit)
+    acc = per_digit[..., 0, :]
+    for v in range(1, per_digit.shape[-2]):
+        acc = (per_digit[..., v, :, None] + acc[..., None, :]).reshape(acc.shape[:-1] + (-1,))
+    return acc
+
+
+def feasible_lift(dist: DenseDistribution, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(base_index, weights) of the (k+1)^n feasible lifts.
+
+    The feasible lifts have at most one +1 copy per bucket; every other
+    lifted configuration has weight 0.  In increasing lifted index, the
+    digit of bucket v sits at place (k+1)^v: 0 for no +1 copy, c for
+    copy c-1 (bit v*k + c-1).  A base configuration with j plus spins
+    has k^j lifts, each of weight p * k^-j.
+    """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    feasible, base_index, plus_total = star_projection_table(dist.n, k)
-    w = np.where(feasible, dist.prob[base_index] * np.exp(-plus_total * math.log(k)), 0.0)
+    base_index = digit_outer_sum([np.concatenate(([0], np.full(k, 1 << v))) for v in range(dist.n)])
+    plus = popcount_table(dist.n)[base_index]
+    return base_index, dist.prob[base_index] * np.exp(-plus * math.log(k))
+
+
+def k_transform(dist: DenseDistribution, k: int) -> TransformedDistribution:
+    """Lift a base distribution to its k-copy version."""
+    _, weights = feasible_lift(dist, k)
+    feasible, base_index, _ = star_projection_table(dist.n, k)
+    w = np.zeros(base_index.size)
+    w[feasible] = weights
     lifted = DenseDistribution(dist.n * k, w)
     return TransformedDistribution(base=dist, k=k, dist=lifted, base_index=base_index)
 

@@ -6,7 +6,7 @@ test.
 """
 
 import math
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -257,6 +257,34 @@ def oracle_mbf_rhs(dist, theta, f):
         ent = entropy_functional(condition(pi, Pinning.all_plus(sites)), f)
         total += (1.0 - theta) ** len(sites) * theta ** (n - len(sites)) * mass * ent
     return z_pi / theta ** n * total
+
+
+def oracle_hf_direct(dist, k, ell, f):
+    """The uniform-block average of the k-copy lift, block by block.
+
+    Lifts the distribution and the function to the dense 2^(nk) cube and
+    averages subset_conditional_entropy over every size-ell block of copy
+    sites, one pass over the cube per block.
+    """
+    from glab.factorization import subset_conditional_entropy
+    from glab.transform import k_transform, lift_function
+
+    nk = dist.n * k
+    tdist = k_transform(dist, k)
+    fk = lift_function(tdist, f)
+    total = math.fsum(
+        subset_conditional_entropy(tdist.dist, S, fk) for S in combinations(range(nk), ell)
+    )
+    return total / math.comb(nk, ell)
+
+
+def oracle_k_transform_weights(dist, k):
+    """The k-copy lift's unnormalized weights over the whole 2^(nk) cube:
+    p(base) * k^-(plus copies) on the feasible lifts, 0 elsewhere."""
+    from glab.transform import star_projection_table
+
+    feasible, base_index, plus_total = star_projection_table(dist.n, k)
+    return np.where(feasible, dist.prob[base_index] * np.exp(-plus_total * math.log(k)), 0.0)
 
 
 def oracle_compare_subset_route(dist, theta, v, f):

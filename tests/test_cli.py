@@ -135,6 +135,22 @@ def test_mixing_suite_checks_powers_of_two_up_to_t_mix(tmp_path):
         (f"worst-tv-monotone-t{t}", tvs[t], tvs[t // 2]) for t in (2, 4, 8)]
 
 
+def test_hf_suite_reports_budget_skips(tmp_path, model_file, monkeypatch):
+    import glab.factorization as factorization
+
+    # the 3-cycle's 2-copy lift has 27 feasible states: ell = 1 (6 blocks)
+    # and ell = 6 (1 block) fit 200 pairs, ell = 3 (20 blocks) does not
+    monkeypatch.setattr(factorization, "BLOCK_PAIR_BUDGET", 200)
+    result = run_suite(RunConfig(command="hf", model_path=model_file, seed=0,
+                                 out_dir=str(tmp_path / "out")))
+    assert result.passed
+    checks = json.loads((tmp_path / "out" / "hf.json").read_text())["checks"]
+    skipped = [c for c in checks if c.get("witness", "").startswith("skipped: ")]
+    assert [c["name"] for c in skipped] == ["hf-identity-k2-ell-3"]
+    assert skipped[0]["pass"] is True
+    assert {"hf-identity-k2-ell-1", "hf-identity-k2-ell-6"} <= {c["name"] for c in checks}
+
+
 def test_run_suite_rejects_unknown():
     with pytest.raises(ValueError):
         run_suite(RunConfig(command="bogus", model_path="x", seed=0))

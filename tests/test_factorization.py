@@ -14,6 +14,8 @@ from glab.exact import (
     magnetized_partition,
     uniform_distribution,
 )
+import glab.factorization as factorization
+from glab.capacity import CapacityError
 from glab.factorization import (
     CheckReport,
     HyperGeoSpec,
@@ -40,7 +42,7 @@ from glab.factorization import (
     ubf_kappa_constant,
 )
 
-from oracles import oracle_mbf_rhs
+from oracles import oracle_hf_direct, oracle_mbf_rhs
 from util import random_dist, random_gibbs, random_positive_f, regime_grid
 
 
@@ -130,6 +132,23 @@ def test_hypergeo_pmf_sums_to_one():
     for n, k, ell in [(2, 2, 2), (3, 3, 4), (4, 2, 5), (2, 10, 7)]:
         _, probs = hypergeo_pmf_table(HyperGeoSpec(n=n, k=k, ell=ell))
         assert float(probs.sum()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_hypergeo_pmf_table_is_byte_identical_to_pmf():
+    for n in range(1, 6):
+        for k in range(1, 5):
+            for ell in range(n * k + 1):
+                spec = HyperGeoSpec(n=n, k=k, ell=ell)
+                support, probs = hypergeo_pmf_table(spec)
+                vectors = [tuple(int(a) for a in row) for row in support]
+                assert vectors == list(hypergeo_support(spec))
+                want = np.array([hypergeo_pmf(spec, a) for a in vectors])
+                assert probs.tobytes() == want.tobytes()
+    spec = HyperGeoSpec(n=8, k=8, ell=32)
+    support, probs = hypergeo_pmf_table(spec)
+    assert support.shape == (2306025, 8)
+    for row in np.random.default_rng(33).choice(support.shape[0], 500, replace=False):
+        assert probs[row] == hypergeo_pmf(spec, support[row])
 
 
 def test_hypergeo_support_bounds():
@@ -304,6 +323,53 @@ def test_hf_direct_equals_formula_small():
             for ell in (1, (n * k) // 2, n * k):
                 direct, formula = hf_pair(d, k, ell, f)
                 assert formula == pytest.approx(direct, rel=1e-10, abs=1e-12)
+
+
+def test_hf_direct_matches_oracle():
+    from glab.exact import enumerate_gibbs
+
+    dists = [enumerate_gibbs(model) for _, model in regime_grid()]
+    dists += [random_dist(n, 110 + n, zero_frac=0.3) for n in range(2, 6)]
+    for d in dists:
+        f = random_positive_f(d.n, 111)
+        for k in (1, 2, 3):
+            nk = d.n * k
+            if nk > 12:
+                continue
+            for ell in sorted({1, math.ceil(nk / 2), nk}):
+                # abs covers values that are 0 in exact arithmetic (two-state
+                # supports at ell = 1), which both routes leave as a few ulps
+                want = oracle_hf_direct(d, k, ell, f)
+                assert hf_direct(d, k, ell, f) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def test_hf_direct_one_block_chunks(monkeypatch):
+    d = random_dist(4, 121, zero_frac=0.3)
+    f = random_positive_f(4, 122)
+    # the default chunk holds all C(8, 4) = 70 blocks of 81 states
+    want = hf_direct(d, 2, 4, f)
+    monkeypatch.setattr(factorization, "_BLOCK_CHUNK_BYTES", 1)
+    assert hf_direct(d, 2, 4, f) == want
+
+
+def test_block_pair_budget(monkeypatch):
+    d = random_dist(3, 131)
+    f = random_positive_f(3, 132)
+    # C(6, 3) = 20 blocks of the 27 feasible states of the 2-copy lift
+    monkeypatch.setattr(factorization, "BLOCK_PAIR_BUDGET", 540)
+    hf_direct(d, 2, 3, f)
+    monkeypatch.setattr(factorization, "BLOCK_PAIR_BUDGET", 539)
+
+    def no_lift(*args):
+        raise AssertionError("lift built before the budget check")
+
+    monkeypatch.setattr(factorization, "feasible_lift", no_lift)
+    with pytest.raises(CapacityError):
+        hf_direct(d, 2, 3, f)
+    # ubf_average is the same average at k = 1: C(3, 2) = 3 blocks of 8 states
+    monkeypatch.setattr(factorization, "BLOCK_PAIR_BUDGET", 23)
+    with pytest.raises(CapacityError):
+        ubf_average(d, 2, f)
 
 
 def test_hf_full_block_recovers_entropy():

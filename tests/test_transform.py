@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glab.exact import Pinning, entropy_functional, total_variation
+from glab.exact import DenseDistribution, Pinning, enumerate_gibbs, entropy_functional, total_variation
 from glab.transform import (
     bucket_field_average,
     k_transform,
@@ -16,7 +16,8 @@ from glab.transform import (
     star_pushforward,
 )
 
-from util import random_dist, random_gibbs, random_positive_f
+from oracles import oracle_k_transform_weights
+from util import random_dist, random_gibbs, random_positive_f, regime_grid
 
 
 def test_star_projection_counts():
@@ -117,3 +118,12 @@ def test_plus_total_consistency(seed):
     idx = int(gen.integers(16))
     # plus_total counts the +1 copies regardless of feasibility bucketing
     assert plus_total[idx] == bin(idx).count("1")
+
+
+def test_k_transform_table_matches_dense_formula():
+    dists = [enumerate_gibbs(model) for _, model in regime_grid()]
+    dists.append(random_dist(4, 141, zero_frac=0.3))
+    for d in dists:
+        for k in (1, 2, 3):
+            want = DenseDistribution(d.n * k, oracle_k_transform_weights(d, k)).prob
+            assert k_transform(d, k).dist.prob.tobytes() == want.tobytes()
