@@ -15,7 +15,8 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Iterable, List, Optional, Sequence, TextIO, Tuple
 
 import click
 import numpy as np
@@ -185,6 +186,8 @@ def json_17g(obj) -> str:
 
 
 def _cell(x) -> str:
+    if type(x) is int:
+        return str(x)
     if isinstance(x, str):
         return x
     if isinstance(x, (bool, np.bool_)):
@@ -192,18 +195,40 @@ def _cell(x) -> str:
     return _fmt_number(x)
 
 
-def emit_series(path, header: Optional[Sequence[str]], rows: Sequence[Sequence]) -> str:
-    """Write a CSV series: header line (if any) plus rows, LF endings."""
-    path = Path(path)
-    lines = []
-    if header is not None:
-        lines.append(",".join(header))
+# rows formatted and written per write() call
+_ROWS_PER_WRITE = 1 << 14
+
+
+def _write_series(stream: TextIO, header: Optional[Sequence[str]], rows: Iterable[Sequence]) -> None:
+    """Stream a CSV series to an open text stream: header line (if any)
+    plus rows, LF endings, a lone LF when there is nothing else.  A row of
+    the wrong width raises ValueError, after the rows before it are
+    written."""
     width = len(header) if header is not None else None
-    for row in rows:
-        if width is not None and len(row) != width:
-            raise ValueError("rows must match the header width")
-        lines.append(",".join(_cell(x) for x in row))
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    wrote = header is not None
+    if wrote:
+        stream.write(",".join(header) + "\n")
+    rows = iter(rows)
+    while True:
+        lines = []
+        for row in islice(rows, _ROWS_PER_WRITE):
+            if width is not None and len(row) != width:
+                raise ValueError("rows must match the header width")
+            lines.append(",".join(map(_cell, row)))
+        if not lines:
+            break
+        lines.append("")
+        stream.write("\n".join(lines))
+        wrote = True
+    if not wrote:
+        stream.write("\n")
+
+
+def emit_series(path, header: Optional[Sequence[str]], rows: Iterable[Sequence]) -> str:
+    """Write a CSV series to `path` through `_write_series`."""
+    path = Path(path)
+    with path.open("w", newline="\n") as fh:
+        _write_series(fh, header, rows)
     return str(path)
 
 
@@ -670,13 +695,12 @@ def sample_command(model_path, steps, seed, thin, init, out_path) -> None:
     """Simulate the chain from local conditionals and dump the trace."""
     model = load_model(model_path)
     trace = run_chain(model, steps, seed, init=init, thin=thin)
-    rows = trace.rows()
     if out_path is None:
-        click.echo("step,config_index")
-        for step, state in rows:
-            click.echo(f"{step},{state}")
+        stdout = click.get_text_stream("stdout")
+        _write_series(stdout, ("step", "config_index"), trace.rows())
+        stdout.flush()
     else:
-        emit_series(out_path, ("step", "config_index"), rows)
+        emit_series(out_path, ("step", "config_index"), trace.rows())
         click.echo(f"trace in {out_path}")
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -412,9 +412,14 @@ def _step_rows(
 # chain simulation from local conditionals
 
 
+# steps per draw batch, and rows per slice of ChainTrace.rows()
+_CHAIN_CHUNK = 1 << 14
+
+
 @dataclass(frozen=True)
 class ChainTrace:
-    """Thinned trajectory of configuration indices, states[i] at steps[i]."""
+    """Thinned trajectory of configuration indices (uint64), states[i] at
+    steps[i]."""
 
     steps: np.ndarray
     states: np.ndarray
@@ -422,8 +427,11 @@ class ChainTrace:
     start: int
     thin: int
 
-    def rows(self) -> List[Tuple[int, int]]:
-        return [(int(s), int(x)) for s, x in zip(self.steps, self.states)]
+    def rows(self) -> Iterator[Tuple[int, int]]:
+        """(step, config_index) pairs as Python ints, one slice at a time."""
+        for lo in range(0, self.steps.size, _CHAIN_CHUNK):
+            yield from zip(self.steps[lo:lo + _CHAIN_CHUNK].tolist(),
+                           self.states[lo:lo + _CHAIN_CHUNK].tolist())
 
 
 def run_chain(
@@ -437,12 +445,12 @@ def run_chain(
     """Run Glauber dynamics from an IsingModel or a DenseDistribution.
 
     Model mode computes the resampling probability from the neighborhood
-    alone, so it scales past enumeration capacity; table mode reads the
-    two relevant entries of the dense table.  Both modes consume exactly
-    the two uniforms of each step's counter slot (site pick, then spin),
-    so a trace is reproducible from (seed, label) regardless of chunking.
-    The start state (default all minus) is recorded at step 0, then every
-    `thin` steps.
+    alone, so it scales past enumeration capacity up to 64 sites (states
+    are packed into uint64); table mode reads the two relevant entries of
+    the dense table.  Both modes consume exactly the two uniforms of each
+    step's counter slot (site pick, then spin), so a trace is reproducible
+    from (seed, label) regardless of chunking.  The start state (default
+    all minus) is recorded at step 0, then every `thin` steps.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -450,31 +458,13 @@ def run_chain(
         raise ValueError("thin must be at least 1")
     if isinstance(source, IsingModel):
         n = source.n
-        adj = source.neighbors()
-        beta = source.beta
-        lam = source.lam
-
-        def plus_probability(state: int, v: int) -> float:
-            mono_plus = 0
-            deg = len(adj[v])
-            for u in adj[v]:
-                if (state >> u) & 1:
-                    mono_plus += 1
-            w_plus = lam[v] * beta ** mono_plus
-            w_minus = beta ** (deg - mono_plus)
-            return w_plus / (w_plus + w_minus)
-
+        if n > 64:
+            raise ValueError(f"model mode packs states into 64-bit integers; "
+                             f"{n} sites exceed 64")
+        step = _model_stepper(source)
     elif isinstance(source, DenseDistribution):
         n = source.n
-        table = source.prob
-
-        def plus_probability(state: int, v: int) -> float:
-            hi = table[state | (1 << v)]
-            lo = table[state & ~(1 << v)]
-            if hi + lo <= 0:
-                raise ValueError("chain reached a state with no conditional mass")
-            return hi / (hi + lo)
-
+        step = _table_stepper(source)
     else:
         raise TypeError("source must be an IsingModel or a DenseDistribution")
 
@@ -482,33 +472,76 @@ def run_chain(
     if not 0 <= state < (1 << n):
         raise ValueError("initial configuration out of range")
     start = state
-    out_steps = [0]
-    out_states = [state]
-    chunk = 1 << 14
+    kept = [np.array([state], dtype=np.uint64)]
     done = 0
     while done < steps:
-        take = min(chunk, steps - done)
+        take = min(_CHAIN_CHUNK, steps - done)
         draws = uniform_pairs(seed, label, done, take)
-        for r in range(take):
-            t = done + r + 1
-            v = int(draws[r, 0] * n)
-            if v == n:
-                v = n - 1
-            if draws[r, 1] < plus_probability(state, v):
-                state |= 1 << v
-            else:
-                state &= ~(1 << v)
-            if t % thin == 0:
-                out_steps.append(t)
-                out_states.append(state)
+        sites = np.minimum((draws[:, 0] * n).astype(np.int64), n - 1).tolist()
+        trail = step(state, sites, draws[:, 1].tolist())
+        state = trail[-1]
+        # trail[r] is the state after step done + r + 1
+        kept.append(np.array(trail[(-done - 1) % thin::thin], dtype=np.uint64))
         done += take
     return ChainTrace(
-        steps=np.asarray(out_steps, dtype=np.int64),
-        states=np.asarray(out_states, dtype=np.int64),
+        steps=np.arange(0, steps + 1, thin, dtype=np.int64),
+        states=np.concatenate(kept),
         seed=seed,
         start=start,
         thin=thin,
     )
+
+
+def _model_stepper(model: IsingModel):
+    """Steps from the neighborhood alone: the plus probability of site v
+    with c plus neighbors is tabulated once per (v, c)."""
+    beta = model.beta
+    masks, plus = [], []
+    for v, nbrs in enumerate(model.neighbors()):
+        deg = len(nbrs)
+        masks.append(sum(1 << u for u in nbrs))
+        row = []
+        for mono_plus in range(deg + 1):
+            w_plus = model.lam[v] * beta ** mono_plus
+            w_minus = beta ** (deg - mono_plus)
+            row.append(float(w_plus / (w_plus + w_minus)))
+        plus.append(row)
+
+    def step(state: int, sites: List[int], spins: List[float]) -> List[int]:
+        trail = []
+        append = trail.append
+        for v, u in zip(sites, spins):
+            bit = 1 << v
+            if u < plus[v][(state & masks[v]).bit_count()]:
+                state |= bit
+            else:
+                state &= ~bit
+            append(state)
+        return trail
+
+    return step
+
+
+def _table_stepper(dist: DenseDistribution):
+    """Steps from the two table entries that differ only at the drawn site."""
+    # zero-copy view: indexing it yields Python floats
+    table = memoryview(np.ascontiguousarray(dist.prob, dtype=np.float64))
+
+    def step(state: int, sites: List[int], spins: List[float]) -> List[int]:
+        trail = []
+        append = trail.append
+        for v, u in zip(sites, spins):
+            up = state | (1 << v)
+            down = up ^ (1 << v)
+            hi = table[up]
+            lo = table[down]
+            if hi + lo <= 0:
+                raise ValueError("chain reached a state with no conditional mass")
+            state = up if u < hi / (hi + lo) else down
+            append(state)
+        return trail
+
+    return step
 
 
 # ---------------------------------------------------------------------------

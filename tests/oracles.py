@@ -376,3 +376,80 @@ def oracle_up_matrix(levels, j):
         for sub in _subface_masks(mask, j):
             out[row_index[sub], t] += levels.top_prob[t]
     return out / out.sum(axis=1, keepdims=True)
+
+
+def oracle_run_chain(source, steps, seed, init=None, thin=1, label="glauber-chain"):
+    """The per-step chain loop with a closure per mode, returning the
+    thinned (steps, states) as lists of Python ints."""
+    from glab.exact import DenseDistribution
+    from glab.model import IsingModel
+    from glab.rng import uniform_pairs
+
+    if isinstance(source, IsingModel):
+        n = source.n
+        adj = source.neighbors()
+        beta = source.beta
+        lam = source.lam
+
+        def plus_probability(state: int, v: int) -> float:
+            mono_plus = 0
+            deg = len(adj[v])
+            for u in adj[v]:
+                if (state >> u) & 1:
+                    mono_plus += 1
+            w_plus = lam[v] * beta ** mono_plus
+            w_minus = beta ** (deg - mono_plus)
+            return w_plus / (w_plus + w_minus)
+
+    elif isinstance(source, DenseDistribution):
+        n = source.n
+        table = source.prob
+
+        def plus_probability(state: int, v: int) -> float:
+            hi = table[state | (1 << v)]
+            lo = table[state & ~(1 << v)]
+            if hi + lo <= 0:
+                raise ValueError("chain reached a state with no conditional mass")
+            return hi / (hi + lo)
+
+    else:
+        raise TypeError("source must be an IsingModel or a DenseDistribution")
+
+    state = 0 if init is None else int(init)
+    out_steps = [0]
+    out_states = [state]
+    chunk = 1 << 14
+    done = 0
+    while done < steps:
+        take = min(chunk, steps - done)
+        draws = uniform_pairs(seed, label, done, take)
+        for r in range(take):
+            t = done + r + 1
+            v = int(draws[r, 0] * n)
+            if v == n:
+                v = n - 1
+            if draws[r, 1] < plus_probability(state, v):
+                state |= 1 << v
+            else:
+                state &= ~(1 << v)
+            if t % thin == 0:
+                out_steps.append(t)
+                out_states.append(state)
+        done += take
+    return out_steps, out_states
+
+
+def oracle_emit_series(path, header, rows):
+    """The join-everything CSV writer: header line (if any) plus rows."""
+    from glab.cli import _cell
+
+    lines = []
+    if header is not None:
+        lines.append(",".join(header))
+    width = len(header) if header is not None else None
+    for row in rows:
+        if width is not None and len(row) != width:
+            raise ValueError("rows must match the header width")
+        lines.append(",".join(_cell(x) for x in row))
+    path.write_text("\n".join(lines) + "\n", newline="\n")
+    return str(path)

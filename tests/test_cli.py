@@ -71,6 +71,25 @@ def test_emit_series(tmp_path):
         emit_series(path, ("a",), [(1, 2)])
 
 
+def test_emit_series_streams_the_oracle_bytes(tmp_path, monkeypatch):
+    import glab.cli as cli
+    from oracles import oracle_emit_series
+
+    monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 4)
+    rows = [(k, k / 7, "x" if k % 2 else True, np.int64(-k)) for k in range(11)]
+    header = ("k", "ratio", "tag", "neg")
+    cases = [(header, rows), (None, rows), (("k", "gap"), []), (None, [])]
+    for idx, (head, body) in enumerate(cases):
+        got, want = tmp_path / f"got{idx}.csv", tmp_path / f"want{idx}.csv"
+        emit_series(got, head, (row for row in body))
+        oracle_emit_series(want, head, body)
+        assert got.read_bytes() == want.read_bytes()
+    assert (tmp_path / "got2.csv").read_bytes() == b"k,gap\n"
+    assert (tmp_path / "got3.csv").read_bytes() == b"\n"
+    with pytest.raises(ValueError):
+        emit_series(tmp_path / "bad.csv", ("a", "b"), iter([(1, 2)] * 9 + [(3,)]))
+
+
 def test_level_rows_csv(tmp_path):
     from glab.spectral import homogenize
     from glab.walks import levels_from_homogenized
@@ -194,6 +213,17 @@ def test_cli_sample_stdout_and_file(tmp_path, model_file):
     ])
     assert out.exit_code == 0
     assert trace.read_text().splitlines()[0] == "step,config_index"
+
+
+def test_cli_sample_stdout_equals_out_file(tmp_path, model_file):
+    runner = CliRunner()
+    args = ["sample", "--model", model_file, "--steps", "40000", "--seed", "9", "--thin", "3"]
+    out = runner.invoke(main, args)
+    assert out.exit_code == 0, out.output
+    trace = tmp_path / "t.csv"
+    assert runner.invoke(main, args + ["--out", str(trace)]).exit_code == 0
+    assert out.stdout_bytes == trace.read_bytes()
+    assert out.stdout_bytes.count(b"\n") == 1 + 40000 // 3 + 1
 
 
 def test_cli_mix_reports_required_keys(model_file):

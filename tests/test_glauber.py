@@ -45,6 +45,7 @@ from oracles import (
     oracle_compare_subset_route,
     oracle_mixing_bracket,
     oracle_pinned_dobrushin_worst,
+    oracle_run_chain,
     oracle_tmix,
     oracle_transition,
     oracle_tv_profile,
@@ -317,7 +318,7 @@ def test_chain_determinism_and_thinning():
     b = run_chain(model, 100, seed=3, thin=10)
     assert np.array_equal(a.states, b.states)
     assert list(a.steps) == list(range(0, 101, 10))
-    assert a.rows()[0] == (0, 0)
+    assert next(iter(a.rows())) == (0, 0)
 
 
 def test_chain_start_state():
@@ -348,6 +349,71 @@ def test_chain_rejects_zero_conditional():
 def test_chain_rejects_other_sources():
     with pytest.raises(TypeError):
         run_chain("nope", 3, seed=0)
+
+
+CHAIN_MODELS = {
+    1: IsingModel(n=1, edges=[], beta=1.0, lam=(3.0,)),
+    3: IsingModel(n=3, edges=cycle_edges(3), beta=0.8, lam=(0.5, 1.0, 2.0)),
+    4: IsingModel(n=4, edges=cycle_edges(4), beta=1.7, lam=(0.5, 1.0, 2.0, 1.0)),
+    6: IsingModel(n=6, edges=star_edges(6), beta=0.6, lam=(2.0, 0.5, 0.5, 2.0, 1.3, 0.7)),
+}
+
+
+def _assert_chain_matches_oracle(source, steps, seed, init=None, thin=1):
+    trace = run_chain(source, steps, seed, init=init, thin=thin)
+    want_steps, want_states = oracle_run_chain(source, steps, seed, init=init, thin=thin)
+    assert trace.steps.tolist() == want_steps
+    assert trace.states.dtype == np.uint64
+    assert trace.states.tolist() == want_states
+
+
+@pytest.mark.parametrize("n", sorted(CHAIN_MODELS))
+@pytest.mark.parametrize("mode", ["model", "table"])
+def test_chain_matches_oracle(mode, n):
+    model = CHAIN_MODELS[n]
+    source = model if mode == "model" else enumerate_gibbs(model)
+    for thin in (1, 3, 10):
+        for init in (None, (1 << n) - 1):
+            _assert_chain_matches_oracle(source, 700, seed=n + thin, init=init, thin=thin)
+    # crosses the 2^14-step draw chunk twice
+    _assert_chain_matches_oracle(source, 40_000, seed=21, init=1, thin=3)
+
+
+def test_chain_matches_oracle_on_a_table_with_zeros():
+    dist = random_dist(5, 17, zero_frac=0.3)
+    init = int(np.argmax(dist.prob))
+    _assert_chain_matches_oracle(dist, 3000, seed=2, init=init, thin=1)
+
+
+def test_chain_64_sites_in_model_mode():
+    model = IsingModel(n=64, edges=cycle_edges(64), beta=0.6, lam=(2.0, 0.5) * 32)
+    trace = run_chain(model, 40_000, seed=7)
+    assert trace.states.dtype == np.uint64
+    assert int(trace.states.max()) >= 1 << 63
+    want_steps, want_states = oracle_run_chain(model, 40_000, seed=7)
+    assert trace.steps.tolist() == want_steps
+    assert trace.states.tolist() == want_states
+    _assert_chain_matches_oracle(model, 5000, seed=8, init=(1 << 64) - 1, thin=10)
+
+
+def test_chain_refuses_65_sites_before_stepping(monkeypatch):
+    import glab.glauber as gl
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(gl, "uniform_pairs", no_draws)
+    model = IsingModel(n=65, edges=cycle_edges(65), beta=1.0, lam=(1.0,) * 65)
+    with pytest.raises(ValueError, match="64-bit"):
+        run_chain(model, 10, seed=0)
+
+
+def test_chain_zero_conditional_matches_oracle():
+    from glab.exact import point_mass
+
+    for run in (run_chain, oracle_run_chain):
+        with pytest.raises(ValueError, match="no conditional mass"):
+            run(point_mass(3, 0), 5, seed=0, init=7)
 
 
 # ---------------------------------------------------------------------------
