@@ -447,13 +447,17 @@ def ubf_check(
 _KERNEL_CHUNK_BYTES = 1 << 24
 
 
-def _magnetized_block_kernel(dist: DenseDistribution, fields: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """sum_R prod_{v in R} (1-b_v) * EntMass_R(b) for each row b of fields.
+def _magnetized_block_kernel(
+    dist: DenseDistribution, numerators: np.ndarray, vals: np.ndarray, denominator: int = 1
+) -> np.ndarray:
+    """sum_R prod_{v in R} (1-b_v) * EntMass_R(b) for each field row
+    b = numerators[i] / denominator.
 
     The weight mu(x) * prod_{v in x minus R} b_v on the x containing R is
     mu magnetized by b off R and conditioned to all plus on R, before
     normalizing; EntMass_R(b) is its total times the entropy of f under
-    it, and 0 where the total vanishes.
+    it, and 0 where the total vanishes.  Each chunk divides its own rows,
+    so only one chunk of float fields exists at a time.
     """
     n = dist.n
     p = dist.prob
@@ -463,9 +467,9 @@ def _magnetized_block_kernel(dist: DenseDistribution, fields: np.ndarray, vals: 
     all_plus = np.zeros(1 << n)
     all_plus[-1] = 1.0
     rows = max(1, _KERNEL_CHUNK_BYTES // (10 * 8 << n))
-    out = np.empty(fields.shape[0])
-    for lo in range(0, fields.shape[0], rows):
-        b = fields[lo:lo + rows]
+    out = np.empty(numerators.shape[0])
+    for lo in range(0, numerators.shape[0], rows):
+        b = numerators[lo:lo + rows] / denominator
         ent_mass = _entropy_mass(*(superset_sums(t, b) for t in tables))
         weight = superset_sums(all_plus, 1.0 - b)[:, ::-1]
         out[lo:lo + rows] = np.sum(weight * ent_mass, axis=1)
@@ -542,8 +546,7 @@ def hf_formula(dist: DenseDistribution, k: int, ell: int, f: FunctionLike) -> fl
     if not 1 <= ell <= n * k:
         raise ValueError(f"block size must lie in [1, nk], got {ell}")
     support, probs = hypergeo_pmf_table(HyperGeoSpec(n=n, k=k, ell=ell))
-    fields = support / k
-    return float(np.dot(probs, _magnetized_block_kernel(dist, fields, vals)))
+    return float(np.dot(probs, _magnetized_block_kernel(dist, support, vals, k)))
 
 
 def hf_pair(dist: DenseDistribution, k: int, ell: int, f: FunctionLike) -> Tuple[float, float]:

@@ -352,6 +352,29 @@ def test_hf_direct_one_block_chunks(monkeypatch):
     assert hf_direct(d, 2, 4, f) == want
 
 
+def test_block_kernel_peak_stays_at_one_chunk(monkeypatch):
+    import tracemalloc
+
+    d = random_dist(5, 141)
+    vals = random_positive_f(5, 142)
+    counts = np.random.default_rng(143).integers(0, 9, size=(4_000, 5), dtype=np.uint8)
+    budget = 1 << 16  # 25 rows of 2^5 states per chunk
+    monkeypatch.setattr(factorization, "_KERNEL_CHUNK_BYTES", budget)
+
+    def peak(rows):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            factorization._magnetized_block_kernel(d, counts[:rows], vals, 8)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    # beyond one chunk, only the 8-byte result per row may grow; float
+    # fields for every row at once would add 40 bytes per row
+    assert peak(4_000) - peak(25) <= 8 * (4_000 - 25) + budget
+
+
 def test_block_pair_budget(monkeypatch):
     d = random_dist(3, 131)
     f = random_positive_f(3, 132)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from glab.capacity import CapacityError
-from glab.exact import enumerate_gibbs, uniform_distribution
+from glab.exact import DenseDistribution, enumerate_gibbs, uniform_distribution
 from glab.model import IsingModel
+from glab import spectral
 from glab.spectral import (
     FieldSamplerConfig,
     correlation_matrix,
@@ -16,8 +17,8 @@ from glab.spectral import (
     signed_influence_matrix,
 )
 
-from oracles import oracle_correlation, oracle_dobrushin, oracle_influence
-from util import random_dist, random_gibbs
+from oracles import oracle_correlation, oracle_dobrushin, oracle_influence, oracle_si_sup_estimate
+from util import random_dist, random_gibbs, regime_grid
 
 
 def edge_dist(beta, lam=(1.0, 1.0)):
@@ -123,3 +124,57 @@ def test_si_sup_estimate_seeded_draws_are_stable():
     b = si_sup_estimate(d, cfg)
     assert a.value == b.value
     assert a.maximizing_field == b.maximizing_field
+
+
+def _sparse_tables():
+    """Tables with zero entries: a random one, and one whose site 0 is
+    frozen plus (a degenerate marginal, so a zero influence row)."""
+    sparse = random_dist(4, 21, zero_frac=0.3)
+    frozen = np.where(np.arange(16) & 1, random_dist(4, 22, zero_frac=0.3).prob, 0.0)
+    return [sparse, DenseDistribution(4, frozen / frozen.sum())]
+
+
+def test_influence_and_correlation_match_oracle_on_sparse_tables():
+    for d in _sparse_tables():
+        assert np.allclose(signed_influence_matrix(d), oracle_influence(d), atol=1e-12)
+        assert np.allclose(correlation_matrix(d), oracle_correlation(d), atol=1e-12)
+    assert np.all(signed_influence_matrix(_sparse_tables()[1])[0] == 0.0)
+
+
+def test_si_sup_estimate_matches_per_field_oracle():
+    # beta = 1 models are product measures: their influences are zero up
+    # to rounding, hence the absolute floor next to the relative bound
+    dists = [enumerate_gibbs(m) for _, m in regime_grid()] + _sparse_tables()
+    for d in dists:
+        cfg = FieldSamplerConfig(grid_points=3 if d.n == 3 else 2, random_draws=4, seed=5)
+        fields = spectral._sampled_fields(cfg, d.n)
+        for norm in ("inf_norm", "max_real_eig"):
+            got = si_sup_estimate(d, cfg, norm)
+            want, pairs = oracle_si_sup_estimate(d, cfg, norm)
+            assert [tuple(row) for row in fields.tolist()] == [phi for phi, _ in pairs]
+            assert got.fields_evaluated == want.fields_evaluated == len(pairs)
+            assert got.value == pytest.approx(want.value, rel=1e-12, abs=1e-14)
+            assert got.note == want.note
+            # the batched maximizer reaches the oracle's maximum
+            at = dict(pairs)[got.maximizing_field]
+            assert at == pytest.approx(want.value, rel=1e-12, abs=1e-14)
+            top, second = sorted(v for _, v in pairs)[:-3:-1]
+            if top - second > 1e-12 * abs(top) + 1e-14:
+                assert got.maximizing_field == want.maximizing_field
+
+
+def test_si_sup_estimate_small_chunks_agree(monkeypatch):
+    d = random_dist(5, 17)  # a generic table: no tied fields
+    cfg = FieldSamplerConfig(grid_points=3, random_draws=6, seed=2)
+    for norm in ("inf_norm", "max_real_eig"):
+        whole = si_sup_estimate(d, cfg, norm)
+        # 5 of the 32 support states and 2 field rows per chunk
+        monkeypatch.setattr(spectral, "_SWEEP_CHUNK_BYTES", 8 * 60 * 5)
+        chunked = si_sup_estimate(d, cfg, norm)
+        monkeypatch.undo()
+        assert chunked.value == pytest.approx(whole.value, rel=1e-12)
+        # a row's field never moves that row, so inf_norm ties exactly
+        # across the fields of its maximizing site
+        if norm == "max_real_eig":
+            assert chunked.maximizing_field == whole.maximizing_field
+        assert chunked.fields_evaluated == whole.fields_evaluated == 3 ** 5 + 6
