@@ -15,7 +15,8 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from itertools import islice
+from itertools import chain, islice, repeat
+from operator import itemgetter
 from typing import Iterable, List, Optional, Sequence, TextIO, Tuple
 
 import click
@@ -86,7 +87,6 @@ from .walks import (
     level_distribution,
     levels_from_homogenized,
     local_entropy_decay_check,
-    mask_bits,
     ubf_ed_identity_check,
     uniform_slice_levels,
     walk_density_pair,
@@ -196,32 +196,75 @@ def _cell(x) -> str:
 
 
 # rows formatted and written per write() call
-_ROWS_PER_WRITE = 1 << 14
+_ROWS_PER_WRITE = 1 << 13
+
+# printf spec of a column whose cells in a chunk all have exactly this type
+_COLUMN_SPECS = {int: "%d", float: "%.17g", str: "%s"}
 
 
 def _write_series(stream: TextIO, header: Optional[Sequence[str]], rows: Iterable[Sequence]) -> None:
     """Stream a CSV series to an open text stream: header line (if any)
-    plus rows, LF endings, a lone LF when there is nothing else.  A row of
-    the wrong width raises ValueError, after the rows before it are
-    written."""
+    plus rows, LF endings, a lone LF when there is nothing else.
+
+    Rows go out `_ROWS_PER_WRITE` at a time, each chunk formatted by one
+    `%` over its cells flattened into a tuple.  Each column of a chunk
+    takes its spec from the exact type set of its cells there: only
+    `int` is `%d`, only `float` is `%.17g` (a NaN or an infinity raises
+    ValueError), only `str` is `%s`; any other column (bools, numpy
+    scalars, mixed types) is formatted cell by cell with `_cell` and
+    written as `%s`.  The bytes are those of `_cell` on every cell.
+
+    Every row has the header's width, or without a header the first
+    row's; a row of another width raises ValueError after every row
+    before it is written."""
     width = len(header) if header is not None else None
     wrote = header is not None
     if wrote:
         stream.write(",".join(header) + "\n")
     rows = iter(rows)
     while True:
-        lines = []
-        for row in islice(rows, _ROWS_PER_WRITE):
-            if width is not None and len(row) != width:
-                raise ValueError("rows must match the header width")
-            lines.append(",".join(map(_cell, row)))
-        if not lines:
+        chunk = list(islice(rows, _ROWS_PER_WRITE))
+        if not chunk:
             break
-        lines.append("")
-        stream.write("\n".join(lines))
-        wrote = True
+        if width is None:
+            width = len(chunk[0])
+        bad = None
+        if set(map(len, chunk)) != {width}:
+            bad = next(i for i, row in enumerate(chunk) if len(row) != width)
+            del chunk[bad:]
+        if chunk:
+            _write_chunk(stream, chunk, width)
+            wrote = True
+        if bad is not None:
+            raise ValueError("rows must match the header width")
     if not wrote:
         stream.write("\n")
+
+
+def _write_chunk(stream: TextIO, chunk: List[Sequence], width: int) -> None:
+    """Write rows of one width with one `%` (see `_write_series`); empties
+    `chunk` once its cells are flattened."""
+    count = len(chunk)
+    flat = tuple(chain.from_iterable(chunk))
+    chunk.clear()
+    specs = []
+    cells = None
+    for c in range(width):
+        column = flat[c::width]
+        kinds = set(map(type, column))
+        spec = _COLUMN_SPECS.get(kinds.pop()) if len(kinds) == 1 else None
+        if spec == "%.17g" and not all(map(math.isfinite, column)):
+            raise ValueError("non-finite value cannot be serialized")
+        if spec is None:
+            if cells is None:
+                cells = list(flat)
+            cells[c::width] = list(map(_cell, column))
+            spec = "%s"
+        specs.append(spec)
+    if cells is not None:
+        flat = tuple(cells)
+        del cells  # one copy of the cells while formatting
+    stream.write(((",".join(specs) + "\n") * count) % flat)
 
 
 def emit_series(path, header: Optional[Sequence[str]], rows: Iterable[Sequence]) -> str:
@@ -485,12 +528,24 @@ def _suite_walks(model, dist, cfg, inst):
     return checks, payload, series
 
 
+_DROP_FIRST = itemgetter(slice(1, None))
+
+
 def _level_rows(levels) -> List[tuple]:
-    rows = []
+    """(level, face, probability) rows, the face as its elements joined
+    by "|" in increasing order."""
+    # labels[b][x]: "|e" for every element e = 8b + i with bit i set in
+    # byte x; a face is its bytes' labels joined, less the leading "|"
+    labels = [tuple("".join(f"|{8 * b + i}" for i in range(8) if x >> i & 1)
+                    for x in range(256))
+              for b in range(max(1, (levels.ground + 7) // 8))]
+    rows: List[tuple] = []
     for j in range(levels.k + 1):
-        probs = level_distribution(levels, j)
-        for mask, p in zip(levels.faces[j], probs):
-            rows.append((j, "|".join(str(e) for e in mask_bits(mask)), float(p)))
+        masks = np.asarray(levels.faces[j], dtype=np.int64)
+        parts = [map(table.__getitem__, ((masks >> (8 * b)) & 255).tolist())
+                 for b, table in enumerate(labels)]
+        faces = map(_DROP_FIRST, map("".join, zip(*parts)))
+        rows.extend(zip(repeat(j), faces, level_distribution(levels, j).tolist()))
     return rows
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -429,9 +430,10 @@ class ChainTrace:
 
     def rows(self) -> Iterator[Tuple[int, int]]:
         """(step, config_index) pairs as Python ints, one slice at a time."""
-        for lo in range(0, self.steps.size, _CHAIN_CHUNK):
-            yield from zip(self.steps[lo:lo + _CHAIN_CHUNK].tolist(),
-                           self.states[lo:lo + _CHAIN_CHUNK].tolist())
+        return chain.from_iterable(
+            zip(self.steps[lo:lo + _CHAIN_CHUNK].tolist(),
+                self.states[lo:lo + _CHAIN_CHUNK].tolist())
+            for lo in range(0, self.steps.size, _CHAIN_CHUNK))
 
 
 def run_chain(
@@ -796,9 +798,12 @@ def margin_monotonicity_violation(dist: DenseDistribution, theta: float) -> floa
     probability minus the base conditional plus probability)."""
     if not 0 < theta <= 1:
         raise ValueError(f"theta must lie in (0,1], got {theta}")
+    return _margin_violation(dist, magnetize(dist, FieldAssignment.uniform(dist.n, theta)))
+
+
+def _margin_violation(dist: DenseDistribution, pi: DenseDistribution) -> float:
     from .exact import site_conditional_plus
 
-    pi = magnetize(dist, FieldAssignment.uniform(dist.n, theta))
     worst = -math.inf
     for v in range(dist.n):
         mass_mu, cond_mu = site_conditional_plus(dist, v)
@@ -821,13 +826,20 @@ def tensorization_chain_check(
     at most 1/Z_pi times the base expected covariance.  The report's
     lhs/rhs are the worst vertex's pair.  No estimate of the chain's
     entropy-contraction constant enters: the assembled comparison of the
-    two chains' constants is deliberately not asserted.
+    two chains' constants is deliberately not asserted.  The magnetized
+    table and Z_pi are computed once and shared by every check.
     """
-    violation = margin_monotonicity_violation(dist, theta)
+    if not 0 < theta < 1:
+        raise ValueError(f"theta must lie in (0,1), got {theta}")
+    vals = as_values(f, dist.n)
+    pi = magnetize(dist, FieldAssignment.uniform(dist.n, theta))
+    z_pi = magnetized_partition(dist, theta)
+    violation = _margin_violation(dist, pi)
     worst: Optional[CheckReport] = None
     worst_gap = -math.inf
     for v in range(dist.n):
-        rep = tensorization_change_base_check(dist, theta, v, f, instance=instance)
+        rep = _change_base_report(dist, pi, z_pi, theta, vals, v, instance,
+                                  "magnetized-site-covariance-comparison")
         gap = rep.lhs - rep.rhs
         if gap > worst_gap:
             worst_gap = gap
@@ -856,11 +868,17 @@ def tensorization_change_base_check(
     if not 0 < theta < 1:
         raise ValueError(f"theta must lie in (0,1), got {theta}")
     n = dist.n
-    vals = as_values(f, n)
     pi = magnetize(dist, FieldAssignment.uniform(n, theta))
-    z_pi = magnetized_partition(dist, theta)
+    return _change_base_report(dist, pi, magnetized_partition(dist, theta), theta,
+                               as_values(f, n), v, instance, name)
+
+
+def _change_base_report(
+    dist: DenseDistribution, pi: DenseDistribution, z_pi: float, theta: float,
+    vals: np.ndarray, v: int, instance: str, name: str,
+) -> CheckReport:
     mass, ment = site_ment_profile(pi, vals, v)
-    plus = popcount_table(n - 1)
+    plus = popcount_table(dist.n - 1)
     lhs = float(np.sum(mass * np.exp(-plus * math.log(theta)) * ment))
     rhs = expected_site_ment(dist, vals, v) / z_pi
     return CheckReport.le(name, instance, lhs, rhs, constant=1.0 / z_pi)

@@ -35,10 +35,6 @@ from .spectral import HomogenizedDistribution
 SUBFACE_BYTES = 64
 
 
-def mask_bits(mask: int) -> Tuple[int, ...]:
-    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
-
-
 @dataclass(frozen=True)
 class Levels:
     """Level sets of the downward closure of a homogeneous support, and

@@ -336,7 +336,6 @@ def oracle_compare_subset_route(dist, theta, v, f):
     from glab.exact import (FieldAssignment, Pinning, as_values, condition,
                             expected_site_ment, magnetize, popcount_table)
     from glab.factorization import superset_sums
-    from glab.walks import mask_bits
 
     n = dist.n
     vals = as_values(f, n)
@@ -358,8 +357,9 @@ def oracle_compare_subset_route(dist, theta, v, f):
     return lhs
 
 
-def _elements(mask):
-    return tuple(v for v in range(mask.bit_length()) if (mask >> v) & 1)
+def mask_bits(mask):
+    """Elements of a face bitmask, increasing."""
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 def _subface_masks(mask, j):
@@ -367,7 +367,7 @@ def _subface_masks(mask, j):
     from itertools import combinations
 
     out = []
-    for comb in combinations(_elements(mask), j):
+    for comb in combinations(mask_bits(mask), j):
         sub = 0
         for b in comb:
             sub |= 1 << b
@@ -386,7 +386,7 @@ def oracle_levels(k, faces, probs):
     for m, _ in support:
         for j in range(k + 1):
             level_sets[j].update(_subface_masks(m, j))
-    ordered = tuple(tuple(sorted(s, key=_elements)) for s in level_sets)
+    ordered = tuple(tuple(sorted(s, key=mask_bits)) for s in level_sets)
     top_index = {m: i for i, m in enumerate(ordered[k])}
     top_prob = np.zeros(len(ordered[k]))
     for m, p in support:
@@ -486,8 +486,22 @@ def oracle_emit_series(path, header, rows):
         lines.append(",".join(header))
     width = len(header) if header is not None else None
     for row in rows:
-        if width is not None and len(row) != width:
+        if width is None:
+            width = len(row)  # without a header the first row sets the width
+        if len(row) != width:
             raise ValueError("rows must match the header width")
         lines.append(",".join(_cell(x) for x in row))
     path.write_text("\n".join(lines) + "\n", newline="\n")
     return str(path)
+
+
+def oracle_level_rows(levels):
+    """(level, face, probability) rows, one `mask_bits` call per face."""
+    from glab.walks import level_distribution
+
+    rows = []
+    for j in range(levels.k + 1):
+        probs = level_distribution(levels, j)
+        for mask, p in zip(levels.faces[j], probs):
+            rows.append((j, "|".join(str(e) for e in mask_bits(mask)), float(p)))
+    return rows

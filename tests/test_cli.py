@@ -1,9 +1,12 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import glab
 from glab.cli import (
@@ -17,7 +20,7 @@ from glab.cli import (
     run_suite,
 )
 from glab.exact import enumerate_gibbs
-from glab.model import IsingModel, cycle_edges, model_to_json
+from glab.model import IsingModel, cycle_edges, model_to_json, star_edges
 
 MODEL = IsingModel(n=3, edges=cycle_edges(3), beta=0.8, lam=(0.5, 1.0, 2.0))
 
@@ -100,6 +103,99 @@ def test_level_rows_csv(tmp_path):
     assert lv[0] == "level,face,probability"
     assert lv[1].startswith("0,,")  # the empty face
     assert any("|" in line for line in lv[2:])
+
+
+def test_write_series_writes_every_row_before_a_bad_one(tmp_path, monkeypatch):
+    import glab.cli as cli
+
+    monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 4)
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError):
+        emit_series(path, ("a", "b"), iter([(k, 2) for k in range(9)] + [(3,), (4, 5)]))
+    assert path.read_text().splitlines() == ["a,b"] + [f"{k},2" for k in range(9)]
+    # without a header the first row sets the width
+    with pytest.raises(ValueError):
+        emit_series(path, None, [(1.5,), (2.5,), (1, 2)])
+    assert path.read_text() == "1.5\n2.5\n"
+
+
+_INTS = st.one_of(st.integers(), st.integers(min_value=1 << 63, max_value=1 << 70),
+                  st.integers(max_value=-(1 << 63)))
+_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([-0.0, 0.0, 5e-324, 1e308, 1 / 3]))
+_STRS = st.text(alphabet="ab|%-.,e09 ", max_size=6)
+_MIXED = st.one_of(
+    _INTS, _FLOATS, _STRS, st.booleans(),
+    _FLOATS.map(np.float64), st.integers(-(1 << 63), (1 << 63) - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+
+
+@st.composite
+def _series(draw):
+    """(header or None, rows): each column all int, all float, all str or
+    mixed, so that every column spec is reached."""
+    width = draw(st.integers(1, 4))
+    kinds = draw(st.lists(st.sampled_from([_INTS, _FLOATS, _STRS, _MIXED]),
+                          min_size=width, max_size=width))
+    rows = draw(st.lists(st.tuples(*kinds), max_size=12))
+    header = draw(st.none() | st.just(tuple(f"c{c}" for c in range(width))))
+    return header, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_series(), st.integers(1, 5))
+def test_emit_series_matches_oracle_on_any_cells(series, per_write):
+    import glab.cli as cli
+    from oracles import oracle_emit_series
+
+    header, rows = series
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_ROWS_PER_WRITE", per_write)
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        emit_series(got, header, iter(rows))
+        oracle_emit_series(want, header, rows)
+        assert got.read_bytes() == want.read_bytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(_series(), st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.nan)]),
+       st.data())
+def test_emit_series_rejects_non_finite_like_oracle(series, bad, data):
+    import glab.cli as cli
+    from oracles import oracle_emit_series
+
+    header, rows = series
+    if not rows:
+        rows = [tuple(0.5 for _ in range(len(header) if header else 1))]
+    r = data.draw(st.integers(0, len(rows) - 1))
+    c = data.draw(st.integers(0, len(rows[r]) - 1))
+    rows[r] = rows[r][:c] + (bad,) + rows[r][c + 1:]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_ROWS_PER_WRITE", 3)
+        with pytest.raises(ValueError):
+            emit_series(Path(tmp) / "got.csv", header, iter(rows))
+        with pytest.raises(ValueError):
+            oracle_emit_series(Path(tmp) / "want.csv", header, rows)
+
+
+def test_level_rows_match_oracle(tmp_path):
+    from oracles import oracle_emit_series, oracle_level_rows
+    from glab.spectral import homogenize
+    from glab.walks import levels_from_homogenized
+
+    lam = (2.0, 0.5) * 4
+    models = {"cycle8": IsingModel(n=8, edges=cycle_edges(8), beta=0.6, lam=lam),
+              "star8": IsingModel(n=8, edges=star_edges(8), beta=0.9, lam=lam)}
+    header = ("level", "face", "probability")
+    for name, model in models.items():
+        levels = levels_from_homogenized(homogenize(enumerate_gibbs(model)))
+        got, want = tmp_path / f"{name}.csv", tmp_path / f"{name}_oracle.csv"
+        emit_series(got, header, _level_rows(levels))
+        oracle_emit_series(want, header, oracle_level_rows(levels))
+        assert got.read_bytes() == want.read_bytes()
+        faces = [line.split(",")[1] for line in got.read_text().splitlines()[1:]]
+        assert max(int(e) for face in faces if face for e in face.split("|")) >= 8
 
 
 def test_model_fingerprint_stable():
@@ -224,6 +320,24 @@ def test_cli_sample_stdout_equals_out_file(tmp_path, model_file):
     assert runner.invoke(main, args + ["--out", str(trace)]).exit_code == 0
     assert out.stdout_bytes == trace.read_bytes()
     assert out.stdout_bytes.count(b"\n") == 1 + 40000 // 3 + 1
+
+
+def test_cli_sample_64_sites_matches_oracle_writer(tmp_path):
+    from oracles import oracle_emit_series
+    from glab.glauber import run_chain
+
+    model = IsingModel(n=64, edges=cycle_edges(64), beta=0.6, lam=(2.0, 0.5) * 32)
+    path = tmp_path / "cycle64.json"
+    path.write_text(json.dumps(model_to_json(model)))
+    got = tmp_path / "got.csv"
+    out = CliRunner().invoke(main, ["sample", "--model", str(path), "--steps", "30000",
+                                    "--seed", "5", "--out", str(got)])
+    assert out.exit_code == 0, out.output
+    trace = run_chain(model, 30000, 5)
+    assert int(trace.states.max()) >= 1 << 63
+    want = oracle_emit_series(tmp_path / "want.csv", ("step", "config_index"),
+                              list(zip(trace.steps.tolist(), trace.states.tolist())))
+    assert got.read_bytes() == Path(want).read_bytes()
 
 
 def test_cli_mix_reports_required_keys(model_file):

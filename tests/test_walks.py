@@ -17,7 +17,6 @@ from glab.walks import (
     levels_from_homogenized,
     lift_level_function,
     local_entropy_decay_check,
-    mask_bits,
     push_down,
     ubf_ed_identity,
     ubf_ed_identity_check,
@@ -28,7 +27,7 @@ from glab.walks import (
     walk_density_pair,
 )
 
-from oracles import oracle_down_matrix, oracle_levels, oracle_up_matrix
+from oracles import mask_bits, oracle_down_matrix, oracle_levels, oracle_up_matrix
 from util import random_dist, random_gibbs, random_positive_f
 
 
