@@ -55,7 +55,6 @@ from .glauber import (
     mixing_time_exact,
     mls_estimate,
     mls_mixing_bound,
-    mls_ratio,
     run_chain,
     tensorization_chain_check,
     transition_matrix,

@@ -55,6 +55,7 @@ from .glauber import (
     dobrushin_mls_threshold,
     marginal_lower_bound,
     mixing_time_exact,
+    MlsEstimate,
     mls_estimate,
     mls_mixing_bound,
     run_chain,
@@ -598,9 +599,8 @@ def _suite_verification(model, dist, cfg, inst):
     return list(rep.checks) + extra, payload, []
 
 
-def _mixing_report(dist, eps: float, restarts: int, seed: int, t_mix: int) -> dict:
+def _mixing_report(dist, eps: float, est: MlsEstimate, t_mix: int) -> dict:
     """Exact mixing time beside the MLS estimate and the bound it implies."""
-    est = mls_estimate(dist, restarts=restarts, seed=seed)
     mu_min = dist.min_support_prob
     bound = mls_mixing_bound(est.rho_hat, mu_min, eps) if mu_min <= math.exp(-1.0) else None
     return {
@@ -615,13 +615,15 @@ def _mixing_report(dist, eps: float, restarts: int, seed: int, t_mix: int) -> di
 
 def _suite_mixing(model, dist, cfg, inst):
     t_mix, tvs = _mixing_bracket(dist, 0.25)
-    report = _mixing_report(dist, 0.25, min(8, max(2, cfg.batch)), cfg.seed, t_mix)
+    est = mls_estimate(dist, restarts=min(8, max(2, cfg.batch)), seed=cfg.seed)
+    report = _mixing_report(dist, 0.25, est, t_mix)
     lam_ratio = 2.0 * float(np.max(model.lam) / np.min(model.lam))
     # worst-start TV at each power of two t <= t_mix against TV at t/2
     checks = [CheckReport.le(f"worst-tv-monotone-t{t}", inst, tvs[t], tvs[t // 2])
               for t in (1 << i for i in range(1, t_mix.bit_length()))]
     payload = {
         "mixing_report": report,
+        "mls_restarts": [run.to_json() for run in est.runs],
         "bound_shapes": {
             "ratio_argument": lam_ratio,
             "log_term": math.log(lam_ratio),
@@ -766,7 +768,8 @@ def sample_command(model_path, steps, seed, thin, init, out_path) -> None:
 def mix_command(model_path, eps, seed) -> None:
     """Print the exact mixing time report for a model."""
     dist = enumerate_gibbs(load_model(model_path))
-    click.echo(json_17g(_mixing_report(dist, eps, 8, seed, mixing_time_exact(dist, eps))))
+    est = mls_estimate(dist, restarts=8, seed=seed)
+    click.echo(json_17g(_mixing_report(dist, eps, est, mixing_time_exact(dist, eps))))
 
 
 if __name__ == "__main__":

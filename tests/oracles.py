@@ -505,3 +505,73 @@ def oracle_level_rows(levels):
         for mask, p in zip(levels.faces[j], probs):
             rows.append((j, "|".join(str(e) for e in mask_bits(mask)), float(p)))
     return rows
+
+
+def mls_ratio(dist, f):
+    """Dirichlet form over entropy; requires nondegenerate f."""
+    from glab.exact import entropy_functional
+    from glab.glauber import dirichlet_form
+
+    ent = entropy_functional(dist, f)
+    if ent <= 0:
+        raise ValueError("entropy of f vanishes; the ratio is undefined")
+    return dirichlet_form(dist, f) / ent
+
+
+def _bfgs_ratio_and_grad(g, pi, i, j, w):
+    g = g - float(np.mean(g))
+    f = np.exp(g)
+    s = float(np.sum(pi * f))
+    ent = float(np.sum(pi * f * g)) - s * math.log(s)
+    gi = g[i]
+    gj = g[j]
+    fi = f[i]
+    fj = f[j]
+    e = float(np.sum(w * (fi - fj) * (gi - gj)))
+    if ent <= 1e-14 * s:
+        return math.inf, np.zeros_like(g)
+    de = np.zeros_like(g)
+    np.add.at(de, i, w * (fi * (gi - gj) + (fi - fj)))
+    np.add.at(de, j, w * (-fj * (gi - gj) - (fi - fj)))
+    dent = pi * f * (g - math.log(s))
+    ratio = e / ent
+    grad = (de * ent - e * dent) / (ent * ent)
+    return ratio, grad
+
+
+def oracle_mls_estimate_bfgs(dist, restarts=32, seed=0, label="mls-estimate"):
+    """The dense-BFGS multistart ratio search (maxiter 400, mean-centred
+    objective, np.add.at gradient), returning (rho_hat, minimizer)."""
+    from scipy.optimize import minimize
+
+    from glab.glauber import _pair_arrays
+    from glab.rng import derive_generator
+
+    support = dist.support_indices
+    m = support.size
+    if m < 2:
+        raise ValueError("ratio minimization needs at least two support states")
+    pi = dist.prob[support]
+    i, j, w = _pair_arrays(dist)
+
+    def objective(g):
+        return _bfgs_ratio_and_grad(g, pi, i, j, w)
+
+    best_val = math.inf
+    best_g = np.zeros(m)
+    for r in range(restarts):
+        gen = derive_generator(seed, label, r)
+        g = gen.normal(0.0, 1.2, size=m)
+        res = minimize(objective, g, jac=True, method="BFGS",
+                       options={"maxiter": 400, "gtol": 1e-12})
+        cand = float(res.fun)
+        if cand < best_val:
+            best_val = cand
+            best_g = np.asarray(res.x, dtype=np.float64)
+
+    best_g = best_g - float(np.mean(best_g))
+    f = np.exp(best_g)
+    f = f / float(np.sum(pi * f))
+    full = np.ones(dist.prob.size)
+    full[support] = f
+    return best_val, full

@@ -30,7 +30,6 @@ from glab.glauber import (
     mixing_time_exact,
     mls_estimate,
     mls_mixing_bound,
-    mls_ratio,
     orbit_representatives,
     power_iteration_two_norm,
     run_chain,
@@ -42,8 +41,10 @@ from glab.glauber import (
 from glab.model import IsingModel, complete_edges, cycle_edges, path_edges, star_edges
 
 from oracles import (
+    mls_ratio,
     oracle_compare_subset_route,
     oracle_mixing_bracket,
+    oracle_mls_estimate_bfgs,
     oracle_pinned_dobrushin_worst,
     oracle_run_chain,
     oracle_tmix,
@@ -143,6 +144,44 @@ def test_mls_estimate_deterministic():
     a = mls_estimate(d, restarts=4, seed=9)
     b = mls_estimate(d, restarts=4, seed=9)
     assert a.rho_hat == b.rho_hat
+    assert a.runs == b.runs
+    assert len(a.runs) == a.restarts == 4
+    assert a.rho_hat == min(run.rho for run in a.runs)
+
+
+@pytest.fixture(scope="module")
+def grid_estimates():
+    """(dist, estimate) on every regime-grid model, seed 7, 8 restarts,
+    searched with floating-point overflow and invalid values raising."""
+    out = []
+    for _, model in regime_grid():
+        d = enumerate_gibbs(model)
+        with np.errstate(over="raise", invalid="raise"):
+            out.append((d, mls_estimate(d, restarts=8, seed=7)))
+    return out
+
+
+def test_mls_estimate_never_overflows_on_regime_grid(grid_estimates):
+    for _, est in grid_estimates:
+        assert math.isfinite(est.rho_hat) and est.rho_hat > 0
+        assert np.all(np.isfinite(est.minimizer))
+        assert all(math.isfinite(run.rho) and run.nit >= 1 for run in est.runs)
+
+
+def test_mls_estimate_not_above_bfgs_oracle(grid_estimates):
+    for d, est in grid_estimates:
+        old, _ = oracle_mls_estimate_bfgs(d, restarts=8, seed=7)
+        assert est.rho_hat <= old * (1 + 1e-6)
+
+
+def test_mls_estimate_below_spectral_limit(grid_estimates):
+    # Bobkov-Tetali: rho_0 <= 2 * gap.  On cycle-3 and cycle-5 at beta 1.5
+    # the infimum is this spectral limit itself, which the ratio approaches
+    # from above as f flattens toward a constant: rho_hat / (2 gap) - 1
+    # reads +7.8e-9 and -1.35e-6 there, and the slack covers the first.
+    for d, est in grid_estimates:
+        gap = 1.0 - transition_matrix(d).symmetrized_eigenvalues()[-2]
+        assert est.rho_hat <= 2.0 * gap * (1 + 1e-6)
 
 
 def test_mls_mixing_bound_frozen():
