@@ -25,7 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -175,22 +175,6 @@ class HyperGeoSpec:
             raise ValueError(f"ell must lie in [0, nk], got {self.ell}")
 
 
-def hypergeo_support(spec: HyperGeoSpec) -> Iterator[Tuple[int, ...]]:
-    """All count vectors a with sum ell and 0 <= a_v <= k, lexicographic."""
-
-    def rec(prefix: List[int], remaining: int, buckets_left: int):
-        if buckets_left == 0:
-            if remaining == 0:
-                yield tuple(prefix)
-            return
-        lo = max(0, remaining - spec.k * (buckets_left - 1))
-        hi = min(spec.k, remaining)
-        for a in range(lo, hi + 1):
-            yield from rec(prefix + [a], remaining - a, buckets_left - 1)
-
-    yield from rec([], spec.ell, spec.n)
-
-
 def hypergeo_pmf(spec: HyperGeoSpec, counts: Sequence[int]) -> float:
     """Exact pmf value prod_v C(k, a_v) / C(nk, ell); zero off support."""
     a = list(counts)
@@ -210,8 +194,9 @@ def hypergeo_pmf(spec: HyperGeoSpec, counts: Sequence[int]) -> float:
 
 
 def hypergeo_pmf_table(spec: HyperGeoSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """(support, probabilities): the count vectors as rows, in the order
-    of hypergeo_support, and their exact pmf values.
+    """(support, probabilities): the count vectors a with sum ell and
+    0 <= a_v <= k as rows, in lexicographic order, and their exact pmf
+    values.
 
     The numerators prod_v C(k, a_v) are integers, so each value is one
     correctly rounded integer division, as in hypergeo_pmf.

@@ -8,10 +8,10 @@ Three site-by-site interaction matrices of a distribution mu on {-1,+1}^V:
   Dobrushin         A(u,v)   = worst TV distance between the conditionals at v
                     over boundary pairs differing only at u
 
-together with a sampled-field estimator for the supremum of an influence
-norm over all external fields, and the homogenization construction that
-turns mu into a distribution over n-element subsets of a 2n-element
-ground set with a rigidly related correlation spectrum.
+together with a sampled-field estimator for the supremum of the
+influence inf-norm over all external fields, and the homogenization
+construction that turns mu into a distribution over n-element subsets of
+a 2n-element ground set with a rigidly related correlation spectrum.
 """
 
 from __future__ import annotations
@@ -25,9 +25,6 @@ from scipy.optimize import linear_sum_assignment
 
 from .capacity import CapacityError, check_site_count
 from .exact import DenseDistribution, insert_zero_bit, site_conditional_plus
-
-REAL_EIG_IMAG_TOL = 1e-8
-
 
 # Byte bound on one chunk of the moment kernel: a chunk of support states
 # holds at most its (states, 2n(n+1)) pair columns, a chunk of field rows its
@@ -182,7 +179,7 @@ def matrix_report(matrix: np.ndarray, label: str = "") -> MatrixReport:
     inf_norm = float(np.max(np.sum(np.abs(m), axis=1))) if m.size else 0.0
     one_norm = float(np.max(np.sum(np.abs(m), axis=0))) if m.size else 0.0
     eigs = np.linalg.eigvals(m) if m.size else np.array([])
-    real_mask = np.abs(eigs.imag) <= REAL_EIG_IMAG_TOL * (1.0 + np.abs(eigs.real))
+    real_mask = np.abs(eigs.imag) <= 1e-8 * (1.0 + np.abs(eigs.real))
     real_eigs = tuple(sorted((float(x) for x in eigs.real[real_mask]), reverse=True))
     complex_eigs = tuple(complex(z) for z in eigs[~real_mask])
     return MatrixReport(
@@ -196,35 +193,38 @@ def matrix_report(matrix: np.ndarray, label: str = "") -> MatrixReport:
     )
 
 
+# The range of every sampled field value, and the most field vectors one
+# si_sup_estimate call evaluates.
+FIELD_LO = 1e-3
+FIELD_HI = 1e3
+MAX_FIELD_VECTORS = 100_000
+
+
 @dataclass(frozen=True)
 class FieldSamplerConfig:
     """Field vectors tried by si_sup_estimate.
 
     A full product grid of grid_points log-spaced values per site between
-    grid_lo and grid_hi, plus random_draws log-uniform vectors.
+    FIELD_LO and FIELD_HI, plus random_draws log-uniform vectors.
     """
 
     grid_points: int = 7
-    grid_lo: float = 1e-3
-    grid_hi: float = 1e3
     random_draws: int = 0
     seed: int = 0
-    max_evaluations: int = 100_000
 
     def grid_values(self) -> np.ndarray:
-        return np.geomspace(self.grid_lo, self.grid_hi, self.grid_points)
+        return np.geomspace(FIELD_LO, FIELD_HI, self.grid_points)
 
 
 @dataclass(frozen=True)
 class SupEstimate:
-    """Sampled-field maximum of an influence norm.
+    """Sampled-field maximum of the influence inf-norm.
 
     This is a LOWER bound on the supremum over all fields: only the
     recorded field vectors were evaluated.
     """
 
     value: float
-    norm: str
     maximizing_field: Tuple[float, ...]
     fields_evaluated: int
     note: str = "lower bound on the all-fields supremum (sampled fields only)"
@@ -232,7 +232,7 @@ class SupEstimate:
     def to_json(self) -> dict:
         return {
             "value": self.value,
-            "norm": self.norm,
+            "norm": "inf_norm",
             "maximizing_field": list(self.maximizing_field),
             "fields_evaluated": self.fields_evaluated,
             "note": self.note,
@@ -248,47 +248,33 @@ def _sampled_fields(config: FieldSamplerConfig, n: int) -> np.ndarray:
     fields = grid[np.indices((grid.size,) * n).reshape(n, -1).T]
     if config.random_draws:
         gen = derive_generator(config.seed, "si-field-sampler")
-        lo, hi = math.log(config.grid_lo), math.log(config.grid_hi)
+        lo, hi = math.log(FIELD_LO), math.log(FIELD_HI)
         draws = np.exp(gen.uniform(lo, hi, size=(config.random_draws, n)))
         fields = np.concatenate([fields, draws])
     return fields
 
 
-def _norms(inf: np.ndarray, norm: str) -> np.ndarray:
-    """The chosen norm of each matrix in a stack; -inf for a max_real_eig
-    with no real eigenvalue (matrix_report's tolerance)."""
-    if norm == "inf_norm":
-        return np.max(np.sum(np.abs(inf), axis=2), axis=1)
-    eigs = np.linalg.eigvals(inf)
-    real = np.abs(eigs.imag) <= REAL_EIG_IMAG_TOL * (1.0 + np.abs(eigs.real))
-    return np.max(np.where(real, eigs.real, -np.inf), axis=1)
-
-
 def si_sup_estimate(
-    dist: DenseDistribution,
-    config: FieldSamplerConfig = FieldSamplerConfig(),
-    norm: str = "inf_norm",
+    dist: DenseDistribution, config: FieldSamplerConfig = FieldSamplerConfig()
 ) -> SupEstimate:
-    """Maximize a norm of the influence matrix over sampled field vectors.
+    """Maximize the influence inf-norm over sampled field vectors.
 
     Every field's influence matrix comes from one batch of tilted support
     weights (_site_moments); the maximizer is the first field reaching
     the maximum, in sampling order.
     """
-    if norm not in ("inf_norm", "max_real_eig"):
-        raise ValueError(f"unknown norm {norm!r}")
     n = dist.n
     total = config.grid_points ** n + config.random_draws
-    if total > config.max_evaluations:
+    if total > MAX_FIELD_VECTORS:
         raise CapacityError(
             f"field sampler would evaluate {total} vectors, "
-            f"above the configured cap {config.max_evaluations}"
+            f"above the cap {MAX_FIELD_VECTORS}"
         )
     fields = _sampled_fields(config, n)
-    values = np.concatenate([_norms(_influence(m), norm)
+    values = np.concatenate([np.max(np.sum(np.abs(_influence(m)), axis=2), axis=1)
                              for m in _site_moments(dist, np.log(fields))])
     best = int(np.argmax(values))
-    return SupEstimate(value=float(values[best]), norm=norm,
+    return SupEstimate(value=float(values[best]),
                        maximizing_field=tuple(float(x) for x in fields[best]),
                        fields_evaluated=int(values.size))
 

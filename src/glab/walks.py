@@ -251,26 +251,6 @@ def kl_by_level(levels: Levels, nu_top: np.ndarray) -> List[float]:
     return out
 
 
-def walk_density_pair(levels: Levels, f_top: np.ndarray, j: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(f^(j), density of the f-reweighted level law) for identity tests.
-
-    For E[f] = 1 the up-walk average of f equals d(nu_(j))/d(mu_(j)) for
-    nu = mu f.
-    """
-    f_top = np.asarray(f_top, dtype=np.float64)
-    nu_top = levels.top_prob * f_top
-    total = float(np.sum(nu_top))
-    if total <= 0:
-        raise ValueError("f must have positive mean on the support")
-    nu_top = nu_top / total
-    mu_j = level_distribution(levels, j)
-    nu_j = push_down(levels, nu_top, j)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        dens = np.where(mu_j > 0, nu_j / np.where(mu_j > 0, mu_j, 1.0), 0.0)
-    f_j = lift_level_function(levels, f_top / total, j)
-    return f_j, dens
-
-
 def ubf_ed_identity(
     dist: DenseDistribution, levels: Levels, f: FunctionLike, j: int
 ) -> Tuple[float, float]:

@@ -90,31 +90,28 @@ def oracle_dobrushin(dist):
     return out
 
 
-def oracle_si_sup_estimate(dist, config, norm="inf_norm"):
+def oracle_si_sup_estimate(dist, config):
     """The sampled-field sweep one field at a time.
 
     Magnetizes by each field vector in turn (the product grid, then the
     seeded draws), builds its influence matrix with oracle_influence and
-    keeps the first strictly larger norm.  Returns the estimate and every
+    keeps the first strictly larger inf-norm.  Returns the estimate and every
     (field, value) pair in evaluation order.
     """
     from itertools import product as grid_product
 
     from glab.exact import FieldAssignment, magnetize
     from glab.rng import derive_generator
-    from glab.spectral import SupEstimate, matrix_report
+    from glab.spectral import FIELD_HI, FIELD_LO, SupEstimate
 
     def evaluate(phi):
         m = oracle_influence(magnetize(dist, FieldAssignment.full(phi)))
-        if norm == "inf_norm":
-            return float(np.max(np.sum(np.abs(m), axis=1)))
-        rep = matrix_report(m)
-        return rep.max_real_eig if rep.max_real_eig is not None else -math.inf
+        return float(np.max(np.sum(np.abs(m), axis=1)))
 
     fields = [np.asarray(combo) for combo in grid_product(config.grid_values(), repeat=dist.n)]
     if config.random_draws:
         gen = derive_generator(config.seed, "si-field-sampler")
-        lo, hi = math.log(config.grid_lo), math.log(config.grid_hi)
+        lo, hi = math.log(FIELD_LO), math.log(FIELD_HI)
         fields += [np.exp(gen.uniform(lo, hi, size=dist.n)) for _ in range(config.random_draws)]
     best = -math.inf
     best_phi = tuple(1.0 for _ in range(dist.n))
@@ -124,8 +121,24 @@ def oracle_si_sup_estimate(dist, config, norm="inf_norm"):
         pairs.append((tuple(float(x) for x in phi), val))
         if val > best:
             best, best_phi = val, pairs[-1][0]
-    est = SupEstimate(value=best, norm=norm, maximizing_field=best_phi, fields_evaluated=len(pairs))
+    est = SupEstimate(value=best, maximizing_field=best_phi, fields_evaluated=len(pairs))
     return est, pairs
+
+
+def hypergeo_support(spec):
+    """All count vectors a with sum ell and 0 <= a_v <= k, lexicographic."""
+
+    def rec(prefix, remaining, buckets_left):
+        if buckets_left == 0:
+            if remaining == 0:
+                yield tuple(prefix)
+            return
+        lo = max(0, remaining - spec.k * (buckets_left - 1))
+        hi = min(spec.k, remaining)
+        for a in range(lo, hi + 1):
+            yield from rec(prefix + [a], remaining - a, buckets_left - 1)
+
+    yield from rec([], spec.ell, spec.n)
 
 
 def oracle_entropy(probs, f):

@@ -27,7 +27,6 @@ from glab.factorization import (
     hypergeo_pmf,
     hypergeo_pmf_table,
     hypergeo_sample,
-    hypergeo_support,
     kappa,
     kappa_binomial,
     lbf_convergence,
@@ -42,7 +41,7 @@ from glab.factorization import (
     ubf_kappa_constant,
 )
 
-from oracles import oracle_hf_direct, oracle_mbf_rhs
+from oracles import hypergeo_support, oracle_hf_direct, oracle_mbf_rhs
 from util import random_dist, random_gibbs, random_positive_f, regime_grid
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from glab.exact import (
     entropy_functional,
     flip,
     magnetize,
-    magnetized_partition,
     uniform_distribution,
 )
 from glab.glauber import (
@@ -25,7 +25,6 @@ from glab.glauber import (
     dobrushin_contraction_norm,
     dobrushin_mls_check,
     dobrushin_mls_threshold,
-    margin_monotonicity_violation,
     marginal_lower_bound,
     mixing_time_exact,
     mls_estimate,
@@ -34,13 +33,13 @@ from glab.glauber import (
     power_iteration_two_norm,
     run_chain,
     tensorization_chain_check,
-    tensorization_change_base_check,
     transition_matrix,
     verification_bounds_check,
 )
 from glab.model import IsingModel, complete_edges, cycle_edges, path_edges, star_edges
 
 from oracles import (
+    conditional_plus,
     mls_ratio,
     oracle_compare_subset_route,
     oracle_mixing_bracket,
@@ -51,6 +50,7 @@ from oracles import (
     oracle_transition,
     oracle_tv_profile,
     stationary_distance_profile,
+    table_of,
 )
 from util import random_dist, random_gibbs, random_positive_f, regime_grid
 
@@ -460,12 +460,14 @@ def test_chain_zero_conditional_matches_oracle():
 
 
 def test_compare_identity_random():
+    # the boundary-average side against one conditioned table per block
     for seed in range(6):
         d = random_gibbs(3, seed + 70)
         f = random_positive_f(3, seed + 80)
         for v in range(3):
-            rep = compare_identity_check(d, 0.5, v, f)
-            assert rep.passed, rep.to_json()
+            got = compare_identity_check(d, 0.5, v, f).rhs
+            want = oracle_compare_subset_route(d, 0.5, v, f)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_compare_identity_subset_route_matches_oracle():
@@ -495,9 +497,23 @@ def test_compare_identity_single_site():
 
 
 def test_margin_monotonicity():
+    # magnetizing lowers every conditional plus-probability; the oracle
+    # conditions both spin tables one boundary at a time
+    import glab.glauber as gl
+
     for seed in range(5):
         d = random_gibbs(3, seed + 90)
-        assert margin_monotonicity_violation(d, 0.5) <= 1e-12
+        pi = magnetize(d, FieldAssignment.uniform(3, 0.5))
+        mu_table, pi_table = table_of(d), table_of(pi)
+        want = -math.inf
+        for v in range(3):
+            others = [u for u in range(3) if u != v]
+            for boundary in itertools.product((-1, 1), repeat=2):
+                fixed = dict(zip(others, boundary))
+                want = max(want, conditional_plus(pi_table, 3, v, fixed)
+                           - conditional_plus(mu_table, 3, v, fixed))
+        assert gl._margin_violation(d, pi) == pytest.approx(want, rel=0.0, abs=1e-12)
+        assert want <= 1e-12
 
 
 def test_tensorization_chain():
@@ -506,15 +522,35 @@ def test_tensorization_chain():
         f = random_positive_f(3, seed + 110)
         rep = tensorization_chain_check(d, 0.5, f)
         assert rep.passed, rep.to_json()
-        for v in range(3):
-            assert tensorization_change_base_check(d, 0.5, v, f).passed
+
+
+def test_tensorization_chain_fails_on_any_failing_vertex(monkeypatch):
+    # CheckReport.le's slack is relative: vertex 0 has the larger gap and
+    # passes at scale 1, vertex 1 has the smaller gap and fails at 1e-3
+    import glab.glauber as gl
+    from glab.factorization import CheckReport
+
+    pairs = [(1.0 + 5e-10, 1.0), (1e-3 + 1e-10, 1e-3)]
+
+    def fake_report(dist, pi, z_pi, theta, vals, v, instance, name):
+        lhs, rhs = pairs[v]
+        return CheckReport.le(name, instance, lhs, rhs, constant=1.0)
+
+    monkeypatch.setattr(gl, "_change_base_report", fake_report)
+    d = random_gibbs(2, 117)
+    rep = tensorization_chain_check(d, 0.5, random_positive_f(2, 118))
+    assert not rep.passed
+    assert (rep.lhs, rep.rhs) == pairs[1]
+    assert rep.witness == "per-vertex covariance comparison failed"
 
 
 def test_tensorization_constant_is_partition():
     d = random_gibbs(2, 115)
     f = random_positive_f(2, 116)
-    rep = tensorization_change_base_check(d, 0.4, 0, f)
-    assert rep.constant == pytest.approx(1.0 / magnetized_partition(d, 0.4), rel=1e-12)
+    rep = tensorization_chain_check(d, 0.4, f)
+    # Z_pi = sum_x mu(x) 0.4^(plus count of x), summed state by state
+    z_pi = sum(p * 0.4 ** bin(x).count("1") for x, p in enumerate(d.prob))
+    assert rep.constant == pytest.approx(1.0 / z_pi, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

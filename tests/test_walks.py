@@ -24,7 +24,6 @@ from glab.walks import (
     up_matrix,
     vector_entropy,
     vector_kl,
-    walk_density_pair,
 )
 
 from oracles import mask_bits, oracle_down_matrix, oracle_levels, oracle_up_matrix
@@ -203,11 +202,15 @@ def test_homogenized_product_contraction():
 
 
 def test_walk_density_identity():
+    # the up-walk average of f is the density of (mu f) D against mu D,
+    # with the down matrix D built face by face
     levels = levels_from_homogenized(homogenize(random_gibbs(4, 17)))
     f = random_positive_f_for(levels, 18)
+    nu = levels.top_prob * f
     for j in range(levels.k + 1):
-        f_j, dens = walk_density_pair(levels, f, j)
-        assert np.allclose(f_j, dens, atol=1e-11)
+        down = oracle_down_matrix(levels, levels.k, j)
+        np.testing.assert_allclose(lift_level_function(levels, f, j),
+                                   (nu @ down) / (levels.top_prob @ down), rtol=1e-12)
 
 
 def random_positive_f_for(levels, seed):
