@@ -543,7 +543,7 @@ def _level_rows(levels) -> List[tuple]:
 
 def _suite_compare(model, dist, cfg, inst):
     fs = _functions(dist.n, cfg.batch, cfg.seed, "compare-f")
-    checks = [tensorization_chain_check(dist, cfg.theta, f, instance=inst) for f in fs]
+    checks = tensorization_chain_check(dist, cfg.theta, fs, instance=inst)
     return checks, {"theta": cfg.theta}, []
 
 

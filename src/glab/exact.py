@@ -286,8 +286,13 @@ def flip(dist: DenseDistribution, chi: Sequence[int]) -> DenseDistribution:
 
 def entropy_functional(dist: DenseDistribution, f: FunctionLike) -> float:
     """Ent[f] = E[f log f] - E[f] log E[f] with 0 log 0 = 0; always >= 0."""
-    vals = as_values(f, dist.n)
-    p = dist.prob
+    return entropy_of_values(dist.prob, as_values(f, dist.n))
+
+
+def entropy_of_values(p: np.ndarray, vals: np.ndarray) -> float:
+    """Ent of vals under the probabilities p, both over the same states:
+    a law held on part of its configurations (a lift's feasible states)
+    needs no table over all of them."""
     flogf = np.where(vals > 0, vals * np.log(np.where(vals > 0, vals, 1.0)), 0.0)
     mean_flogf = float(np.sum(p * flogf))
     mean_f = float(np.sum(p * vals))

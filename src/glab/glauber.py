@@ -829,51 +829,56 @@ def _margin_violation(dist: DenseDistribution, pi: DenseDistribution) -> float:
 
 
 def tensorization_chain_check(
-    dist: DenseDistribution, theta: float, f: FunctionLike, instance: str = "",
+    dist: DenseDistribution, theta: float, fs: Sequence[FunctionLike], instance: str = "",
     name: str = "magnetized-tensorization-chain",
-) -> CheckReport:
-    """Margin monotonicity plus the per-vertex covariance comparison.
+) -> List[CheckReport]:
+    """Margin monotonicity plus the per-vertex covariance comparison, per f.
 
     Verifies that magnetizing by theta can only lower every conditional
     plus-probability, and that for every vertex the theta^(-plus count)
     weighted boundary average of the magnetized conditional covariance is
-    at most 1/Z_pi times the base expected covariance.  The check passes
-    only if every vertex passes; the report's lhs/rhs are a failing
-    vertex's pair if there is one, else the pair with the largest gap.
-    No estimate of the chain's entropy-contraction constant enters: the
-    assembled comparison of the two chains' constants is deliberately not
-    asserted.  The magnetized table and Z_pi are computed once and shared
-    by every check.
+    at most 1/Z_pi times the base expected covariance.  A function's
+    check passes only if the margins and every vertex pass; the report's
+    lhs/rhs are a failing vertex's pair if there is one, else the pair
+    with the largest gap.  No estimate of the chain's entropy-contraction
+    constant enters: the assembled comparison of the two chains'
+    constants is deliberately not asserted.  The magnetized table, Z_pi,
+    the margin scan and the boundary weights theta^(-plus count) do not
+    depend on f; they are computed once and shared by every function.
     """
     if not 0 < theta < 1:
         raise ValueError(f"theta must lie in (0,1), got {theta}")
-    vals = as_values(f, dist.n)
     pi = magnetize(dist, FieldAssignment.uniform(dist.n, theta))
     z_pi = magnetized_partition(dist, theta)
     violation = _margin_violation(dist, pi)
-    # a failing vertex outranks every passing one: CheckReport.le's slack
-    # is relative, so the largest gap need not be the one that fails
-    worst = max((_change_base_report(dist, pi, z_pi, theta, vals, v, instance,
-                                     "magnetized-site-covariance-comparison")
-                 for v in range(dist.n)),
-                key=lambda r: (not r.passed, r.lhs - r.rhs))
     monotone_ok = violation <= 1e-12
-    passed = bool(worst.passed and monotone_ok)
-    witness = None
-    if not monotone_ok:
-        witness = f"margin monotonicity violated by {violation:.3e}"
-    elif not worst.passed:
-        witness = "per-vertex covariance comparison failed"
-    return CheckReport(name, instance, worst.lhs, worst.rhs, worst.constant,
-                       passed, witness)
+    weights = np.exp(-popcount_table(dist.n - 1) * math.log(theta))
+    out = []
+    for f in fs:
+        vals = as_values(f, dist.n)
+        # a failing vertex outranks every passing one: CheckReport.le's slack
+        # is relative, so the largest gap need not be the one that fails
+        worst = max((_change_base_report(dist, pi, z_pi, weights, vals, v, instance,
+                                         "magnetized-site-covariance-comparison")
+                     for v in range(dist.n)),
+                    key=lambda r: (not r.passed, r.lhs - r.rhs))
+        passed = bool(worst.passed and monotone_ok)
+        witness = None
+        if not monotone_ok:
+            witness = f"margin monotonicity violated by {violation:.3e}"
+        elif not worst.passed:
+            witness = "per-vertex covariance comparison failed"
+        out.append(CheckReport(name, instance, worst.lhs, worst.rhs, worst.constant,
+                               passed, witness))
+    return out
 
 
 def _change_base_report(
-    dist: DenseDistribution, pi: DenseDistribution, z_pi: float, theta: float,
+    dist: DenseDistribution, pi: DenseDistribution, z_pi: float, weights: np.ndarray,
     vals: np.ndarray, v: int, instance: str, name: str,
 ) -> CheckReport:
+    """Vertex v's comparison; weights[b] = theta^(-plus count of boundary b)."""
     mass, ment = site_ment_profile(pi, vals, v)
-    plus = popcount_table(dist.n - 1)
-    lhs = float(np.sum(mass * np.exp(-plus * math.log(theta)) * ment))
+    lhs = float(np.sum(mass * weights * ment))
     rhs = expected_site_ment(dist, vals, v) / z_pi
     return CheckReport.le(name, instance, lhs, rhs, constant=1.0 / z_pi)

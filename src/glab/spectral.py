@@ -26,32 +26,43 @@ from scipy.optimize import linear_sum_assignment
 from .capacity import CapacityError, check_site_count
 from .exact import DenseDistribution, insert_zero_bit, site_conditional_plus
 
-# Byte bound on one chunk of the moment kernel: a chunk of support states
-# holds at most its (states, 2n(n+1)) pair columns, a chunk of field rows its
+# Byte bound on one chunk of the moment kernel: a chunk of states holds at
+# most its (states, 2n(n+1)) pair columns, a chunk of field rows its
 # (rows, states) exponents, tilts and weights and its (rows, 2n(n+1))
 # moments, about two budgets in all.  At n = 8 a chunk takes the whole
-# support (256 states) and 496 field rows; on the 16-site 2-copy lift of
-# an 8-site model, 963 of its 6,561 feasible states.
+# support (256 states) and 496 field rows.  The 16-site 2-copy lift of an
+# 8-site model comes as its 6,561 feasible states (transform.k_transform),
+# never as a 2^16 table, and its one field row reads them 963 at a time.
 _SWEEP_CHUNK_BYTES = 1 << 22
 
+# A law on n sites given by the states that may carry its mass, as
+# (n, states as bit indices, their probabilities); states outside have 0.
+SupportLaw = Tuple[int, np.ndarray, np.ndarray]
 
-def _site_moments(dist: DenseDistribution, log_fields: np.ndarray) -> Iterator[np.ndarray]:
-    """Site and pair moments of dist tilted by each row of log_fields.
 
-    Row f tilts mu by exp(sum of log_fields[f, v] over the plus sites v)
-    and normalizes.  Yields one (rows, 2, n, n+1) array per chunk of
+def _support_law(dist: DenseDistribution) -> SupportLaw:
+    """dist as (n, support states in increasing order, their probabilities)."""
+    states = dist.support_indices
+    return dist.n, states, dist.prob[states]
+
+
+def _site_moments(law: SupportLaw, log_fields: np.ndarray) -> Iterator[np.ndarray]:
+    """Site and pair moments of a law tilted by each row of log_fields.
+
+    law is (n, states, probabilities); states may include some of
+    probability 0, and the moments read no other state.  Row f tilts the
+    law by exp(sum of log_fields[f, v] over the plus sites v) and
+    normalizes.  Yields one (rows, 2, n, n+1) array per chunk of
     field rows, in order: entry [f, a, u, v] is P_f[sigma_u = a,
     sigma_v = +1] for v < n and P_f[sigma_u = a] at v = n (a = 0 for +1,
     1 for -1).  Both signs of u are summed directly, so a conditional
-    given a rare spin keeps its relative precision.  Only support states
-    are read.  Each chunk contracts its weights with the indicators of
-    sigma_u = a and of sigma_v = +1: per field row when the chunk has at
-    most n rows (the untilted tables), else as one GEMM against the pair
-    columns, the flattened products of the two.
+    given a rare spin keeps its relative precision.  Each chunk
+    contracts its weights with the indicators of sigma_u = a and of
+    sigma_v = +1: per field row when the chunk has at most n rows (the
+    untilted tables), else as one GEMM against the pair columns, the
+    flattened products of the two.
     """
-    n = dist.n
-    states = dist.support_indices
-    p = dist.prob[states]
+    n, states, p = law
     width = 2 * n * (n + 1)
     span = min(states.size, max(1, _SWEEP_CHUNK_BYTES // (8 * width)))
     rows = max(1, _SWEEP_CHUNK_BYTES // (8 * (3 * span + 2 * width)))
@@ -78,7 +89,7 @@ def _site_moments(dist: DenseDistribution, log_fields: np.ndarray) -> Iterator[n
 
 def _moments(dist: DenseDistribution) -> np.ndarray:
     """The (2, n, n+1) moments of dist itself (no tilt)."""
-    return next(_site_moments(dist, np.zeros((1, dist.n))))[0]
+    return next(_site_moments(_support_law(dist), np.zeros((1, dist.n))))[0]
 
 
 def _influence(moments: np.ndarray) -> np.ndarray:
@@ -272,7 +283,7 @@ def si_sup_estimate(
         )
     fields = _sampled_fields(config, n)
     values = np.concatenate([np.max(np.sum(np.abs(_influence(m)), axis=2), axis=1)
-                             for m in _site_moments(dist, np.log(fields))])
+                             for m in _site_moments(_support_law(dist), np.log(fields))])
     best = int(np.argmax(values))
     return SupEstimate(value=float(values[best]),
                        maximizing_field=tuple(float(x) for x in fields[best]),

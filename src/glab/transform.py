@@ -12,7 +12,9 @@ distribution forward along it recovers the base distribution, and
 composing a test function with it preserves its entropy functional.
 
 Copy (v, i) sits at bit v*k + i, so bucket v occupies a contiguous bit
-range.
+range.  The lift is held on its (k+1)^n feasible configurations only;
+the other 2^(nk) - (k+1)^n have probability 0, and nothing here builds a
+table over all of them.
 """
 
 from __future__ import annotations
@@ -32,47 +34,30 @@ from .exact import (
     as_values,
     condition,
     entropy_functional,
+    entropy_of_values,
     magnetize,
     popcount_table,
 )
-from .spectral import signed_influence_matrix
+from .spectral import _influence, _site_moments, signed_influence_matrix
 
 
 @dataclass(frozen=True)
 class TransformedDistribution:
-    """k-copy lift of a base distribution, with its star projection.
+    """k-copy lift of a base distribution, on its feasible configurations.
 
-    base_index[x] is the base configuration that lifted configuration x
-    projects to; every lifted test function and pushforward reads it.
+    states lists the (k+1)^n lifted configurations with at most one +1
+    copy per bucket, as bit indices in increasing order; prob[i] is the
+    probability of states[i] (0 where its base configuration has none)
+    and base_index[i] the base configuration it projects to.  Every other
+    lifted configuration has probability 0, so every lifted test function
+    and pushforward reads these states only.
     """
 
     base: DenseDistribution
     k: int
-    dist: DenseDistribution
+    states: np.ndarray
+    prob: np.ndarray
     base_index: np.ndarray
-
-
-def star_projection_table(base_n: int, k: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(feasible, base_index, plus_total) over all lifted configurations.
-
-    feasible marks configurations with at most one +1 per bucket;
-    base_index applies the star projection (bucket has any +1 -> +1);
-    plus_total counts +1 copies overall.
-    """
-    nk = base_n * k
-    check_site_count(nk, "k-copy table")
-    idx = np.arange(1 << nk, dtype=np.int64)
-    bucket_mask = (1 << k) - 1
-    pop_k = popcount_table(k)
-    feasible = np.ones(idx.shape, dtype=bool)
-    base_index = np.zeros(idx.shape, dtype=np.int64)
-    plus_total = np.zeros(idx.shape, dtype=np.int64)
-    for v in range(base_n):
-        cnt = pop_k[(idx >> (v * k)) & bucket_mask]
-        feasible &= cnt <= 1
-        base_index |= (cnt >= 1).astype(np.int64) << v
-        plus_total += cnt
-    return feasible, base_index, plus_total
 
 
 def digit_outer_sum(per_digit: np.ndarray) -> np.ndarray:
@@ -106,36 +91,46 @@ def feasible_lift(dist: DenseDistribution, k: int) -> Tuple[np.ndarray, np.ndarr
 
 
 def k_transform(dist: DenseDistribution, k: int) -> TransformedDistribution:
-    """Lift a base distribution to its k-copy version."""
-    _, weights = feasible_lift(dist, k)
-    feasible, base_index, _ = star_projection_table(dist.n, k)
-    w = np.zeros(base_index.size)
-    w[feasible] = weights
-    lifted = DenseDistribution(dist.n * k, w)
-    return TransformedDistribution(base=dist, k=k, dist=lifted, base_index=base_index)
+    """Lift a base distribution to its k-copy version.
+
+    The lift spans dist.n * k sites, which must be within the exact
+    limit; the check comes before anything is allocated.  The weights are
+    normalized by their correctly rounded total (math.fsum), which does
+    not depend on how a pairwise sum groups them.
+    """
+    check_site_count(dist.n * k, "k-copy lift")
+    base_index, weights = feasible_lift(dist, k)
+    # digit c of bucket v is the lifted bit v*k + c-1, digit 0 no bit
+    states = digit_outer_sum([np.concatenate(([0], 1 << np.arange(v * k, v * k + k)))
+                              for v in range(dist.n)])
+    return TransformedDistribution(base=dist, k=k, states=states,
+                                   prob=weights / math.fsum(weights), base_index=base_index)
 
 
-def _project(tdist: TransformedDistribution, lifted: DenseDistribution) -> DenseDistribution:
-    """Pushforward of a law on the lifted cube along the star projection."""
+def _project(tdist: TransformedDistribution, prob: np.ndarray) -> DenseDistribution:
+    """Pushforward of a law on the feasible states along the star projection."""
     n = tdist.base.n
-    p = np.bincount(tdist.base_index, weights=lifted.prob, minlength=1 << n)
-    return DenseDistribution(n, p)
+    return DenseDistribution(n, np.bincount(tdist.base_index, weights=prob, minlength=1 << n))
 
 
 def star_pushforward(tdist: TransformedDistribution) -> DenseDistribution:
     """Pushforward of the lifted distribution along the star projection."""
-    return _project(tdist, tdist.dist)
+    return _project(tdist, tdist.prob)
 
 
 def lift_function(tdist: TransformedDistribution, f: FunctionLike) -> np.ndarray:
-    """Compose a base test function with the star projection."""
+    """A base test function composed with the star projection.
+
+    The values are those on tdist.states, entry for entry; the lifted
+    function on any other configuration never meets lifted mass.
+    """
     return as_values(f, tdist.base.n)[tdist.base_index]
 
 
 def lifted_entropy_identity(tdist: TransformedDistribution, f: FunctionLike) -> Tuple[float, float]:
     """(base entropy of f, lifted entropy of the lifted f); these agree."""
     base_ent = entropy_functional(tdist.base, f)
-    return base_ent, entropy_functional(tdist.dist, lift_function(tdist, f))
+    return base_ent, entropy_of_values(tdist.prob, lift_function(tdist, f))
 
 
 def pinning_pushforward_pair(
@@ -147,10 +142,18 @@ def pinning_pushforward_pair(
     for the lifted distribution.  The pushforward of the conditioned lift
     equals the base distribution magnetized by phi(v) = (free copies in
     bucket v)/k on buckets without a pinned +1 and conditioned to +1 on
-    buckets with one.
+    buckets with one.  On the feasible states, pinning copy v*k + c to
+    +1 keeps the states whose bucket-v digit is c+1, and to -1 those
+    whose digit is not.
     """
     dist, k = tdist.base, tdist.k
-    lhs = _project(tdist, condition(tdist.dist, pin))
+    if pin.sites and not all(0 <= s < dist.n * k for s in pin.sites):
+        raise ValueError("pinned sites out of range")
+    agree = (tdist.states & pin.mask) == pin.bits
+    mass = float(np.sum(tdist.prob[agree]))
+    if mass <= 0:
+        raise ValueError(f"pinning {pin} has zero probability")
+    lhs = _project(tdist, np.where(agree, tdist.prob, 0.0) / mass)
 
     pinned_plus = set()
     pinned_by_bucket = {v: 0 for v in range(dist.n)}
@@ -214,6 +217,56 @@ class InfluenceComparisonReport:
         }
 
 
+def _lifted_influence(tdist: TransformedDistribution, phi: np.ndarray) -> np.ndarray:
+    """Signed influence matrix of the lift magnetized by the copy fields phi.
+
+    The feasible states are weighted by the fields of their +1 copies,
+    site by site as magnetize weights a table, and normalized; the
+    matrix comes from their untilted moments.
+    """
+    nk = tdist.base.n * tdist.k
+    w = tdist.prob.copy()
+    for site, field in enumerate(phi.reshape(-1)):
+        w[(tdist.states >> site) & 1 == 1] *= field
+    law = (nk, tdist.states, w / float(np.sum(w)))
+    return _influence(next(_site_moments(law, np.zeros((1, nk)))))[0]
+
+
+def _violation_gaps(
+    inf_k: np.ndarray, inf_base: np.ndarray, phi: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cross, self, rowsum) excess of the lifted influence over its bounds.
+
+    With S_v the sum of bucket v's copy fields, cross[u, i, v, j] (u != v)
+    is |Inf_k((u,i),(v,j))| - phi[v, j] / S_v * |Inf(u, v)|, self[u, i, j]
+    (i != j) is |Inf_k((u,i),(u,j))| - phi[u, j] / (S_u - phi[u, i]), and
+    rowsum[u, i] is the row sum of |Inf_k| at (u, i) less the base row sum
+    of u plus 1.  Entries that have no bound are -inf.
+    """
+    n, k = phi.shape
+    diag = np.arange(n)
+    got = np.abs(inf_k).reshape(n, k, n, k)
+    sums = phi.sum(axis=1)
+    cross = got - (phi / sums[:, None])[None, None] * np.abs(inf_base)[:, None, :, None]
+    cross[diag, :, diag, :] = -math.inf
+    with np.errstate(divide="ignore"):  # i == j at k = 1, overwritten below
+        self_gap = got[diag, :, diag, :] - phi[:, None, :] / (sums[:, None, None] - phi[:, :, None])
+    self_gap[:, np.arange(k), np.arange(k)] = -math.inf
+    rowsum = (np.sum(np.abs(inf_k), axis=1).reshape(n, k)
+              - (np.sum(np.abs(inf_base), axis=1) + 1.0)[:, None])
+    return cross, self_gap, rowsum
+
+
+def _worst(gaps: np.ndarray) -> Tuple[float, Optional[tuple]]:
+    """(largest gap, its index), the first in C order among ties;
+    (-inf, None) when no entry has a bound."""
+    at = int(np.argmax(gaps))
+    top = float(gaps.flat[at])
+    if top == -math.inf:
+        return top, None
+    return top, tuple(int(x) for x in np.unravel_index(at, gaps.shape))
+
+
 def ktrans_influence_check(
     tdist: TransformedDistribution, phi: np.ndarray, slack: float = 1e-9
 ) -> InfluenceComparisonReport:
@@ -225,48 +278,16 @@ def ktrans_influence_check(
     if np.any(phi <= 0) or not np.all(np.isfinite(phi)):
         raise ValueError("copy fields must be positive and finite")
     n = dist.n
-    lifted_fields = FieldAssignment.full(phi.reshape(-1))
-    pik = magnetize(tdist.dist, lifted_fields)
-    inf_k = signed_influence_matrix(pik)
+    inf_k = _lifted_influence(tdist, phi)
 
     phibar = bucket_field_average(phi)
     pi = magnetize(dist, FieldAssignment.full(phibar))
     inf_base = signed_influence_matrix(pi)
 
-    bucket_sums = phi.sum(axis=1)
-    max_cross = -math.inf
-    max_self = -math.inf
-    cross_wit = None
-    self_wit = None
-    for u in range(n):
-        for i in range(k):
-            row = u * k + i
-            for v in range(n):
-                for j in range(k):
-                    col = v * k + j
-                    if row == col:
-                        continue
-                    got = abs(inf_k[row, col])
-                    if u == v:
-                        bound = phi[u, j] / (bucket_sums[u] - phi[u, i])
-                        gap = got - bound
-                        if gap > max_self:
-                            max_self, self_wit = gap, (u, i, j)
-                    else:
-                        bound = phi[v, j] / bucket_sums[v] * abs(inf_base[u, v])
-                        gap = got - bound
-                        if gap > max_cross:
-                            max_cross, cross_wit = gap, (u, i, v, j)
-
-    base_rowsums = np.sum(np.abs(inf_base), axis=1)
-    lifted_rowsums = np.sum(np.abs(inf_k), axis=1)
-    max_rowsum = -math.inf
-    rowsum_wit = None
-    for u in range(n):
-        for i in range(k):
-            gap = lifted_rowsums[u * k + i] - (base_rowsums[u] + 1.0)
-            if gap > max_rowsum:
-                max_rowsum, rowsum_wit = gap, (u, i)
+    cross, self_gap, rowsum = _violation_gaps(inf_k, inf_base, phi)
+    max_cross, cross_wit = _worst(cross)
+    max_self, self_wit = _worst(self_gap)
+    max_rowsum, rowsum_wit = _worst(rowsum)
 
     passed = max(max_cross, max_self, max_rowsum) <= slack
     return InfluenceComparisonReport(

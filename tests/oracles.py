@@ -313,29 +313,57 @@ def oracle_mbf_rhs(dist, theta, f):
 def oracle_hf_direct(dist, k, ell, f):
     """The uniform-block average of the k-copy lift, block by block.
 
-    Lifts the distribution and the function to the dense 2^(nk) cube and
-    averages subset_conditional_entropy over every size-ell block of copy
-    sites, one pass over the cube per block.
+    Lifts the distribution and the function to the dense 2^(nk) cube
+    (oracle_k_transform) and averages subset_conditional_entropy over
+    every size-ell block of copy sites, one pass over the cube per block.
     """
+    from glab.exact import as_values
     from glab.factorization import subset_conditional_entropy
-    from glab.transform import k_transform, lift_function
 
     nk = dist.n * k
-    tdist = k_transform(dist, k)
-    fk = lift_function(tdist, f)
+    lifted, base_index = oracle_k_transform(dist, k)
+    fk = as_values(f, dist.n)[base_index]
     total = math.fsum(
-        subset_conditional_entropy(tdist.dist, S, fk) for S in combinations(range(nk), ell)
+        subset_conditional_entropy(lifted, S, fk) for S in combinations(range(nk), ell)
     )
     return total / math.comb(nk, ell)
+
+
+def star_projection_table(base_n, k):
+    """(feasible, base_index, plus_total) over all 2^(nk) lifted configurations.
+
+    feasible marks configurations with at most one +1 per bucket;
+    base_index applies the star projection (bucket has any +1 -> +1);
+    plus_total counts +1 copies overall.  Copy (v, i) is bit v*k + i.
+    """
+    idx = np.arange(1 << (base_n * k), dtype=np.int64)
+    feasible = np.ones(idx.shape, dtype=bool)
+    base_index = np.zeros(idx.shape, dtype=np.int64)
+    plus_total = np.zeros(idx.shape, dtype=np.int64)
+    for v in range(base_n):
+        cnt = sum((idx >> (v * k + i)) & 1 for i in range(k))
+        feasible &= cnt <= 1
+        base_index |= (cnt >= 1).astype(np.int64) << v
+        plus_total += cnt
+    return feasible, base_index, plus_total
 
 
 def oracle_k_transform_weights(dist, k):
     """The k-copy lift's unnormalized weights over the whole 2^(nk) cube:
     p(base) * k^-(plus copies) on the feasible lifts, 0 elsewhere."""
-    from glab.transform import star_projection_table
-
     feasible, base_index, plus_total = star_projection_table(dist.n, k)
     return np.where(feasible, dist.prob[base_index] * np.exp(-plus_total * math.log(k)), 0.0)
+
+
+def oracle_k_transform(dist, k):
+    """(lifted table, star projection) of the k-copy lift, both over all
+    2^(nk) lifted configurations: the lift as a DenseDistribution on nk
+    sites, and the base configuration each lifted one projects to.  Every
+    lifted function reads one or both."""
+    from glab.exact import DenseDistribution
+
+    _, base_index, _ = star_projection_table(dist.n, k)
+    return DenseDistribution(dist.n * k, oracle_k_transform_weights(dist, k)), base_index
 
 
 def oracle_compare_subset_route(dist, theta, v, f):

@@ -222,7 +222,7 @@ def test_criterion_08_covariance_comparisons(announce):
             lhs = oracle_compare_subset_route(d, theta, count % n, f)
             if abs(lhs - rhs) > 1e-10 * max(abs(lhs), abs(rhs), 1e-300):
                 bad.append((i, j, "identity", lhs, rhs))
-            rep = tensorization_chain_check(d, theta, f)
+            [rep] = tensorization_chain_check(d, theta, [f])
             if not rep.passed:
                 bad.append((i, j, "tensorization", rep.witness))
             count += 1

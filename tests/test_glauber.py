@@ -520,7 +520,7 @@ def test_tensorization_chain():
     for seed in range(5):
         d = random_gibbs(3, seed + 100)
         f = random_positive_f(3, seed + 110)
-        rep = tensorization_chain_check(d, 0.5, f)
+        [rep] = tensorization_chain_check(d, 0.5, [f])
         assert rep.passed, rep.to_json()
 
 
@@ -532,22 +532,47 @@ def test_tensorization_chain_fails_on_any_failing_vertex(monkeypatch):
 
     pairs = [(1.0 + 5e-10, 1.0), (1e-3 + 1e-10, 1e-3)]
 
-    def fake_report(dist, pi, z_pi, theta, vals, v, instance, name):
+    def fake_report(dist, pi, z_pi, weights, vals, v, instance, name):
         lhs, rhs = pairs[v]
         return CheckReport.le(name, instance, lhs, rhs, constant=1.0)
 
     monkeypatch.setattr(gl, "_change_base_report", fake_report)
     d = random_gibbs(2, 117)
-    rep = tensorization_chain_check(d, 0.5, random_positive_f(2, 118))
+    [rep] = tensorization_chain_check(d, 0.5, [random_positive_f(2, 118)])
     assert not rep.passed
     assert (rep.lhs, rep.rhs) == pairs[1]
     assert rep.witness == "per-vertex covariance comparison failed"
 
 
+def test_tensorization_chain_batch_magnetizes_once(monkeypatch):
+    import glab.glauber as gl
+
+    d = random_gibbs(3, 119)
+    fs = [random_positive_f(3, 120 + j) for j in range(4)]
+    singles = [tensorization_chain_check(d, 0.5, [f])[0] for f in fs]
+    calls = []
+    real = gl.magnetize
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gl, "magnetize", counted)
+    # one report per function, each what a batch of one gives
+    reports = tensorization_chain_check(d, 0.5, fs)
+    assert reports == singles
+    assert len(calls) == 1
+    # each lhs is some vertex's weighted boundary average, which is the
+    # identity's subset-route sum over theta^n
+    for rep, f in zip(reports, fs):
+        assert any(rep.lhs == pytest.approx(oracle_compare_subset_route(d, 0.5, v, f) / 0.5 ** 3,
+                                            rel=1e-10) for v in range(3))
+
+
 def test_tensorization_constant_is_partition():
     d = random_gibbs(2, 115)
     f = random_positive_f(2, 116)
-    rep = tensorization_chain_check(d, 0.4, f)
+    [rep] = tensorization_chain_check(d, 0.4, [f])
     # Z_pi = sum_x mu(x) 0.4^(plus count of x), summed state by state
     z_pi = sum(p * 0.4 ** bin(x).count("1") for x, p in enumerate(d.prob))
     assert rep.constant == pytest.approx(1.0 / z_pi, rel=1e-12)

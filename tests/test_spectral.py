@@ -179,3 +179,27 @@ def test_si_sup_estimate_small_chunks_agree(monkeypatch):
     _, pairs = oracle_si_sup_estimate(d, cfg)
     for est in (whole, chunked):
         assert dict(pairs)[est.maximizing_field] == pytest.approx(whole.value, rel=1e-12)
+
+
+def test_site_moments_on_a_support_law():
+    # the 2-copy lift of a table with zeros, as its feasible states and as
+    # the dense table over all 2^8 lifted configurations
+    from glab.transform import k_transform
+    from oracles import oracle_k_transform
+
+    d = random_dist(4, 19, zero_frac=0.3)
+    td = k_transform(d, 2)
+    lifted, _ = oracle_k_transform(d, 2)
+    held = td.states[td.prob > 0]
+    assert np.array_equal(held, lifted.support_indices)
+    gen = np.random.default_rng(20)
+    # one untilted row (per-row contraction) and 12 field rows (one GEMM)
+    for logs in (np.zeros((1, 8)), gen.normal(0.0, 1.0, size=(12, 8))):
+        want = np.concatenate(list(spectral._site_moments(spectral._support_law(lifted), logs)))
+        # the same states in the same order: bit for bit
+        got = np.concatenate(list(spectral._site_moments((8, held, lifted.prob[held]), logs)))
+        assert got.tobytes() == want.tobytes()
+        # every feasible state, zero-mass ones included, with the lift's
+        # own normalization: to rounding
+        got = np.concatenate(list(spectral._site_moments((8, td.states, td.prob), logs)))
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-16)
