@@ -317,16 +317,20 @@ def total_variation(a: DenseDistribution, b: DenseDistribution) -> float:
     return 0.5 * float(np.sum(np.abs(a.prob - b.prob)))
 
 
+def _boundary_minus(n: int, v: int) -> np.ndarray:
+    """Full index of (boundary b, spin -1 at v) for every boundary b."""
+    if not 0 <= v < n:
+        raise ValueError(f"site {v} out of range")
+    return insert_zero_bit(np.arange(1 << (n - 1), dtype=np.int64), v)
+
+
 def site_split(dist: DenseDistribution, v: int) -> Tuple[np.ndarray, np.ndarray]:
     """(p_minus, p_plus) over the 2^(n-1) boundary configurations at site v.
 
     Entry b is the joint probability of (boundary b, spin at v) where the
     boundary index packs the other sites in increasing order.
     """
-    if not 0 <= v < dist.n:
-        raise ValueError(f"site {v} out of range")
-    b = np.arange(1 << (dist.n - 1), dtype=np.int64)
-    full_minus = insert_zero_bit(b, v)
+    full_minus = _boundary_minus(dist.n, v)
     return dist.prob[full_minus], dist.prob[full_minus | (1 << v)]
 
 
@@ -342,6 +346,49 @@ def site_conditional_plus(dist: DenseDistribution, v: int) -> Tuple[np.ndarray, 
     return mass, cond
 
 
+@dataclass(frozen=True)
+class BoundarySplit:
+    """A table's two-point conditionals at site v, one per boundary b.
+
+    None of it depends on a function f, so one split serves every f:
+    `mass` covers all 2^(n-1) boundaries, the rest only the boundaries
+    `both` where the conditional is two-point.
+    """
+
+    mass: np.ndarray
+    both: np.ndarray
+    minus: np.ndarray    # full index of (b, spin -1) on `both`
+    plus: np.ndarray     # full index of (b, spin +1) on `both`
+    weight: np.ndarray   # q_minus * q_plus of the conditional on `both`
+
+    def ment(self, vals: np.ndarray) -> np.ndarray:
+        """Per-boundary covariance of (f, log f) under the conditional,
+        0 where it is degenerate; vals are f's values on all states."""
+        f_minus = vals[self.minus]
+        f_plus = vals[self.plus]
+        if np.any((f_minus <= 0) | (f_plus <= 0)):
+            raise ValueError("f must be positive wherever the site conditional is two-point")
+        ment = np.zeros(self.mass.shape)
+        ment[self.both] = self.weight * (f_plus - f_minus) * (np.log(f_plus) - np.log(f_minus))
+        return ment
+
+    def expected_ment(self, vals: np.ndarray) -> float:
+        """Boundary-averaged conditional covariance of (f, log f)."""
+        return float(np.sum(self.mass * self.ment(vals)))
+
+
+def boundary_split(dist: DenseDistribution, v: int) -> BoundarySplit:
+    """Site v's boundary split of dist (see BoundarySplit)."""
+    full_minus = _boundary_minus(dist.n, v)
+    full_plus = full_minus | (1 << v)
+    p_minus, p_plus = dist.prob[full_minus], dist.prob[full_plus]
+    mass = p_minus + p_plus
+    both = (p_minus > 0) & (p_plus > 0)
+    m2 = mass[both]
+    return BoundarySplit(mass, both, full_minus[both], full_plus[both],
+                         (p_minus[both] * p_plus[both]) / (m2 * m2))
+
+
 def site_ment_profile(dist: DenseDistribution, f: FunctionLike, v: int) -> Tuple[np.ndarray, np.ndarray]:
     """Per-boundary covariance of (f, log f) under the conditional at v.
 
@@ -349,26 +396,5 @@ def site_ment_profile(dist: DenseDistribution, f: FunctionLike, v: int) -> Tuple
     The value at boundary b is q_minus*q_plus*(f_plus-f_minus)*(log f_plus - log f_minus)
     for the two-point conditional there, 0 when the conditional is degenerate.
     """
-    vals = as_values(f, dist.n)
-    p_minus, p_plus = site_split(dist, v)
-    mass = p_minus + p_plus
-    b = np.arange(1 << (dist.n - 1), dtype=np.int64)
-    full_minus = insert_zero_bit(b, v)
-    f_minus = vals[full_minus]
-    f_plus = vals[full_minus | (1 << v)]
-    both = (p_minus > 0) & (p_plus > 0)
-    if np.any((f_minus[both] <= 0) | (f_plus[both] <= 0)):
-        raise ValueError("f must be positive wherever the site conditional is two-point")
-    ment = np.zeros(mass.shape)
-    if np.any(both):
-        df = f_plus[both] - f_minus[both]
-        dl = np.log(f_plus[both]) - np.log(f_minus[both])
-        m2 = mass[both]
-        ment[both] = (p_minus[both] * p_plus[both]) / (m2 * m2) * df * dl
-    return mass, ment
-
-
-def expected_site_ment(dist: DenseDistribution, f: FunctionLike, v: int) -> float:
-    """Boundary-averaged conditional covariance of (f, log f) at site v."""
-    mass, ment = site_ment_profile(dist, f, v)
-    return float(np.sum(mass * ment))
+    split = boundary_split(dist, v)
+    return split.mass, split.ment(as_values(f, dist.n))

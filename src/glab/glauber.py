@@ -25,21 +25,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-# unused, but perfbench/tracer.py wraps glauber.minimize_scalar by name
-from scipy.optimize import minimize, minimize_scalar  # noqa: F401
 
 from .capacity import MIXING_BYTE_BUDGET, CapacityError
 from .exact import (
+    BoundarySplit,
     DenseDistribution,
     FieldAssignment,
     FunctionLike,
     as_values,
+    boundary_split,
     entropy_functional,
-    expected_site_ment,
     magnetize,
     magnetized_partition,
     popcount_table,
@@ -50,7 +48,28 @@ from .model import IsingModel, automorphism_generators, flip_direction
 from .spectral import dobrushin_matrix
 from .rng import derive_generator, uniform_pairs
 
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
 EXTREME_FIELD = 1.0 / 500.0
+
+# scipy is imported where it is called: scipy.optimize and scipy.sparse
+# take about 0.6 s and 40 MB to import, and most glab processes (sampling,
+# the hf, walks and lift suites) never call either
+_OPTIMIZERS = ("minimize", "minimize_scalar")
+
+
+def __getattr__(name: str):
+    """glauber.minimize and glauber.minimize_scalar: scipy.optimize's,
+    imported on first access and kept as module globals, so a wrapper
+    assigned to either name (perfbench/tracer.py counts their calls) is
+    what mls_estimate runs."""
+    if name not in _OPTIMIZERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import scipy.optimize
+
+    value = globals()[name] = getattr(scipy.optimize, name)
+    return value
 
 
 @dataclass(frozen=True)
@@ -86,6 +105,8 @@ def transition_matrix(dist: DenseDistribution, validate: bool = True) -> Transit
     A neighbor of zero probability contributes its slot to the diagonal,
     so the chain never leaves the support.
     """
+    import scipy.sparse as sp
+
     n = dist.n
     support = dist.support_indices.astype(np.int64)
     m = support.size
@@ -123,6 +144,8 @@ def transition_matrix(dist: DenseDistribution, validate: bool = True) -> Transit
 
 
 def _validate_reversibility(tm: TransitionMatrix, tol: float = 1e-12) -> None:
+    import scipy.sparse as sp
+
     flow = sp.diags(tm.stationary) @ tm.matrix
     diff = (flow - flow.T).tocoo()
     err = float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
@@ -178,7 +201,8 @@ def dirichlet_form(dist: DenseDistribution, f: FunctionLike) -> float:
 def dirichlet_form_sites(dist: DenseDistribution, f: FunctionLike) -> float:
     """Site decomposition: mean over sites of the expected conditional
     covariance of (f, log f) at that site."""
-    total = math.fsum(expected_site_ment(dist, f, v) for v in range(dist.n))
+    vals = as_values(f, dist.n)
+    total = math.fsum(boundary_split(dist, v).expected_ment(vals) for v in range(dist.n))
     return total / dist.n
 
 
@@ -290,6 +314,9 @@ def mls_estimate(
     def objective(g: np.ndarray) -> Tuple[float, np.ndarray]:
         return _ratio_and_grad(g, pi, i, j, w)
 
+    # the module binding, not a local import: a wrapper assigned to
+    # glauber.minimize is what runs
+    minimize = globals().get("minimize") or __getattr__("minimize")
     best_val = math.inf
     best_g = np.zeros(m)
     runs = []
@@ -338,8 +365,7 @@ def orbit_representatives(dist: DenseDistribution) -> np.ndarray:
     table without a model has the trivial group, and every support state
     is its own representative.
     """
-    # imported where used: csgraph adds about 1 MB of resident memory to
-    # every process that imports glab
+    import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components
 
     n = dist.n
@@ -843,8 +869,9 @@ def tensorization_chain_check(
     with the largest gap.  No estimate of the chain's entropy-contraction
     constant enters: the assembled comparison of the two chains'
     constants is deliberately not asserted.  The magnetized table, Z_pi,
-    the margin scan and the boundary weights theta^(-plus count) do not
-    depend on f; they are computed once and shared by every function.
+    the margin scan, both tables' boundary splits at every site and the
+    boundary weights theta^(-plus count) do not depend on f; they are
+    computed once and shared by every function.
     """
     if not 0 < theta < 1:
         raise ValueError(f"theta must lie in (0,1), got {theta}")
@@ -853,12 +880,14 @@ def tensorization_chain_check(
     violation = _margin_violation(dist, pi)
     monotone_ok = violation <= 1e-12
     weights = np.exp(-popcount_table(dist.n - 1) * math.log(theta))
+    mu_splits = [boundary_split(dist, v) for v in range(dist.n)]
+    pi_splits = [boundary_split(pi, v) for v in range(dist.n)]
     out = []
     for f in fs:
         vals = as_values(f, dist.n)
         # a failing vertex outranks every passing one: CheckReport.le's slack
         # is relative, so the largest gap need not be the one that fails
-        worst = max((_change_base_report(dist, pi, z_pi, weights, vals, v, instance,
+        worst = max((_change_base_report(mu_splits, pi_splits, z_pi, weights, vals, v, instance,
                                          "magnetized-site-covariance-comparison")
                      for v in range(dist.n)),
                     key=lambda r: (not r.passed, r.lhs - r.rhs))
@@ -874,11 +903,12 @@ def tensorization_chain_check(
 
 
 def _change_base_report(
-    dist: DenseDistribution, pi: DenseDistribution, z_pi: float, weights: np.ndarray,
-    vals: np.ndarray, v: int, instance: str, name: str,
+    mu_splits: Sequence[BoundarySplit], pi_splits: Sequence[BoundarySplit], z_pi: float,
+    weights: np.ndarray, vals: np.ndarray, v: int, instance: str, name: str,
 ) -> CheckReport:
-    """Vertex v's comparison; weights[b] = theta^(-plus count of boundary b)."""
-    mass, ment = site_ment_profile(pi, vals, v)
-    lhs = float(np.sum(mass * weights * ment))
-    rhs = expected_site_ment(dist, vals, v) / z_pi
+    """Vertex v's comparison from the base and magnetized boundary splits;
+    weights[b] = theta^(-plus count of boundary b)."""
+    pi_v = pi_splits[v]
+    lhs = float(np.sum(pi_v.mass * weights * pi_v.ment(vals)))
+    rhs = mu_splits[v].expected_ment(vals) / z_pi
     return CheckReport.le(name, instance, lhs, rhs, constant=1.0 / z_pi)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .capacity import CapacityError, check_site_count
 from .exact import DenseDistribution, insert_zero_bit, site_conditional_plus
@@ -328,6 +327,10 @@ def homogenize(dist: DenseDistribution) -> HomogenizedDistribution:
 
 def match_spectra(a: Sequence[complex], b: Sequence[complex]) -> float:
     """Max pairing distance between two same-size eigenvalue multisets."""
+    # imported where used: scipy.optimize takes about 0.6 s to import, and
+    # most glab processes never match a spectrum
+    from scipy.optimize import linear_sum_assignment
+
     av = np.asarray(a, dtype=np.complex128)
     bv = np.asarray(b, dtype=np.complex128)
     if av.size != bv.size:

@@ -372,10 +372,10 @@ def oracle_compare_subset_route(dist, theta, v, f):
     sum_R (1-theta)^|R| theta^(n-|R|) * pi(all plus on R) * the expected
     site-v covariance of (f, log f) under pi conditioned to all plus on R,
     one conditioned table per block R.  Like oracle_mbf_rhs it reuses the
-    package's magnetize, condition, superset_sums and expected_site_ment.
+    package's magnetize, condition, superset_sums and boundary_split.
     """
-    from glab.exact import (FieldAssignment, Pinning, as_values, condition,
-                            expected_site_ment, magnetize, popcount_table)
+    from glab.exact import (FieldAssignment, Pinning, as_values, boundary_split, condition,
+                            magnetize, popcount_table)
     from glab.factorization import superset_sums
 
     n = dist.n
@@ -394,7 +394,7 @@ def oracle_compare_subset_route(dist, theta, v, f):
         size = int(sizes[r_mask])
         weight = math.exp(size * log_one_minus + (n - size) * log_theta)
         pinned = condition(pi, Pinning.all_plus(mask_bits(r_mask)))
-        lhs += weight * mass * expected_site_ment(pinned, vals, v)
+        lhs += weight * mass * boundary_split(pinned, v).expected_ment(vals)
     return lhs
 
 

@@ -8,11 +8,12 @@ from glab.exact import (
     DenseDistribution,
     FieldAssignment,
     Pinning,
+    as_values,
+    boundary_split,
     condition,
     distribution_from_weights,
     entropy_functional,
     enumerate_gibbs,
-    expected_site_ment,
     flip,
     kl_divergence,
     magnetize,
@@ -163,7 +164,7 @@ def test_site_ment_profile_sums_to_expectation():
     for v in range(4):
         mass, ment = site_ment_profile(d, f, v)
         assert float(np.dot(mass, ment)) == pytest.approx(
-            expected_site_ment(d, f, v), rel=1e-12, abs=1e-14
+            boundary_split(d, v).expected_ment(as_values(f, 4)), rel=1e-12, abs=1e-14
         )
         assert np.all(ment >= -1e-12)
 

@@ -149,6 +149,24 @@ def test_mls_estimate_deterministic():
     assert a.rho_hat == min(run.rho for run in a.runs)
 
 
+def test_mls_estimate_runs_the_module_minimize(monkeypatch):
+    # perfbench/tracer.py counts L-BFGS-B runs by wrapping glauber.minimize;
+    # mls_estimate must look the name up there on every call
+    import glab.glauber as gl
+
+    real = gl.minimize
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("method"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gl, "minimize", counted)
+    est = mls_estimate(random_gibbs(3, 53), restarts=3, seed=1)
+    assert calls == ["L-BFGS-B"] * 3
+    assert len(est.runs) == 3
+
+
 @pytest.fixture(scope="module")
 def grid_estimates():
     """(dist, estimate) on every regime-grid model, seed 7, 8 restarts,
@@ -490,10 +508,11 @@ def test_compare_identity_single_site():
     rep = compare_identity_check(d, 0.3, 0, f)
     assert rep.passed
     # both sides equal theta times the site entropy term of the tilted law
-    from glab.exact import FieldAssignment, expected_site_ment, magnetize
+    from glab.exact import FieldAssignment, as_values, boundary_split, magnetize
 
     pi = magnetize(d, FieldAssignment.uniform(1, 0.3))
-    assert rep.lhs == pytest.approx(0.3 * expected_site_ment(pi, f, 0), rel=1e-10)
+    assert rep.lhs == pytest.approx(0.3 * boundary_split(pi, 0).expected_ment(as_values(f, 1)),
+                                    rel=1e-10)
 
 
 def test_margin_monotonicity():
