@@ -461,13 +461,13 @@ def _suite_hf(model, dist, cfg, inst):
 def _suite_walks(model, dist, cfg, inst):
     checks: List[CheckReport] = []
     n = dist.n
-    if 2 * n > exact_limit():
-        return [CheckReport("walks-capacity", inst, 0.0, 0.0, 0.0, True,
-                            witness="skipped: homogenization above capacity")], {}, []
-
     product = enumerate_gibbs(IsingModel(model.n, (), model.beta, model.lam))
-    hom_prod = homogenize(product)
-    prod_levels = levels_from_homogenized(hom_prod)
+    try:
+        prod_levels = levels_from_homogenized(homogenize(product))
+        model_levels = levels_from_homogenized(homogenize(dist))
+    except CapacityError as exc:
+        return [CheckReport("walks-capacity", inst, 0.0, 0.0, 0.0, True,
+                            witness=f"skipped: {exc}")], {}, []
     k = prod_levels.k
 
     gen = derive_generator(cfg.seed, "walks-nu")
@@ -498,7 +498,6 @@ def _suite_walks(model, dist, cfg, inst):
             slice_levels, f_s, j, contraction=kappa(j, 3, 1.0), instance="uniform-6-3",
             name=f"slice-entropy-decay-j{j}"))
 
-    model_levels = levels_from_homogenized(homogenize(dist))
     fs = _functions(n, 2, cfg.seed, "walks-base-f")
     js = range(1, n + 1) if n <= 6 else sorted({1, n // 2, n})
     for j in js:

@@ -289,26 +289,39 @@ def entropy_functional(dist: DenseDistribution, f: FunctionLike) -> float:
     return entropy_of_values(dist.prob, as_values(f, dist.n))
 
 
+def _xlogx(vals: np.ndarray) -> np.ndarray:
+    """x log x elementwise, with 0 log 0 = 0."""
+    return np.where(vals > 0, vals * np.log(np.where(vals > 0, vals, 1.0)), 0.0)
+
+
 def entropy_of_values(p: np.ndarray, vals: np.ndarray) -> float:
     """Ent of vals under the probabilities p, both over the same states:
-    a law held on part of its configurations (a lift's feasible states)
-    needs no table over all of them."""
-    flogf = np.where(vals > 0, vals * np.log(np.where(vals > 0, vals, 1.0)), 0.0)
-    mean_flogf = float(np.sum(p * flogf))
+    a law held on part of its configurations (a lift's feasible states,
+    a level of a down-up walk) needs no table over all of them."""
+    p = np.asarray(p, dtype=np.float64)
+    vals = np.asarray(vals, dtype=np.float64)
+    if np.any(vals < 0):
+        raise ValueError("f must be nonnegative")
+    mean_flogf = float(np.sum(p * _xlogx(vals)))
     mean_f = float(np.sum(p * vals))
     if mean_f <= 0:
         return 0.0
     return max(0.0, mean_flogf - mean_f * math.log(mean_f))
 
 
+def _kl(nu: np.ndarray, mu: np.ndarray) -> float:
+    """KL(nu || mu) of two probability vectors over the same states."""
+    on = nu > 0
+    if np.any(mu[on] <= 0):
+        raise ValueError("KL divergence needs support(nu) within support(mu)")
+    return max(0.0, float(np.sum(nu[on] * (np.log(nu[on]) - np.log(mu[on])))))
+
+
 def kl_divergence(nu: DenseDistribution, mu: DenseDistribution) -> float:
     """KL(nu || mu); requires support(nu) contained in support(mu)."""
     if nu.n != mu.n:
         raise ValueError("distributions must live on the same sites")
-    on = nu.prob > 0
-    if np.any(mu.prob[on] <= 0):
-        raise ValueError("KL divergence needs support(nu) within support(mu)")
-    return max(0.0, float(np.sum(nu.prob[on] * (np.log(nu.prob[on]) - np.log(mu.prob[on])))))
+    return _kl(nu.prob, mu.prob)
 
 
 def total_variation(a: DenseDistribution, b: DenseDistribution) -> float:
@@ -324,22 +337,14 @@ def _boundary_minus(n: int, v: int) -> np.ndarray:
     return insert_zero_bit(np.arange(1 << (n - 1), dtype=np.int64), v)
 
 
-def site_split(dist: DenseDistribution, v: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(p_minus, p_plus) over the 2^(n-1) boundary configurations at site v.
-
-    Entry b is the joint probability of (boundary b, spin at v) where the
-    boundary index packs the other sites in increasing order.
-    """
-    full_minus = _boundary_minus(dist.n, v)
-    return dist.prob[full_minus], dist.prob[full_minus | (1 << v)]
-
-
 def site_conditional_plus(dist: DenseDistribution, v: int) -> Tuple[np.ndarray, np.ndarray]:
     """(boundary mass, conditional P[sigma_v=+1 | boundary]) per boundary.
 
-    The conditional entry is NaN on zero-mass boundaries.
+    Boundary b packs the other sites in increasing order; the conditional
+    entry is NaN on zero-mass boundaries.
     """
-    p_minus, p_plus = site_split(dist, v)
+    full_minus = _boundary_minus(dist.n, v)
+    p_minus, p_plus = dist.prob[full_minus], dist.prob[full_minus | (1 << v)]
     mass = p_minus + p_plus
     with np.errstate(invalid="ignore", divide="ignore"):
         cond = np.where(mass > 0, p_plus / np.where(mass > 0, mass, 1.0), np.nan)

@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .capacity import BLOCK_PAIR_BUDGET, CapacityError, exact_limit
-from .exact import DenseDistribution, FunctionLike, as_values, entropy_functional
+from .exact import DenseDistribution, FunctionLike, _xlogx, as_values, entropy_functional
 from .transform import digit_outer_sum, feasible_lift
 
 DEFAULT_REL_SLACK = 1e-9
@@ -293,10 +293,6 @@ def superset_sums(vec: np.ndarray, b: np.ndarray) -> np.ndarray:
         pairs = arr.reshape(lead + (-1, 2, 1 << v))
         pairs[..., 0, :] += b[..., v, None, None] * pairs[..., 1, :]
     return arr
-
-
-def _xlogx(vals: np.ndarray) -> np.ndarray:
-    return np.where(vals > 0, vals * np.log(np.where(vals > 0, vals, 1.0)), 0.0)
 
 
 def _entropy_mass(gp: np.ndarray, gpf: np.ndarray, gpfl: np.ndarray) -> np.ndarray:

@@ -598,28 +598,6 @@ def _table_stepper(dist: DenseDistribution):
 # Dobrushin-condition ratio bound
 
 
-def power_iteration_two_norm(matrix: np.ndarray, iters: int = 10000, tol: float = 1e-14) -> float:
-    """Largest singular value by power iteration on M^T M."""
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.size == 0:
-        return 0.0
-    gram = m.T @ m
-    dim = gram.shape[0]
-    v = 1.0 + 1e-3 * np.arange(dim)
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(iters):
-        w = gram @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        if abs(norm - prev) <= tol * norm:
-            break
-        prev = norm
-    return math.sqrt(norm)
-
-
 def marginal_lower_bound(dist: DenseDistribution) -> float:
     """Worst conditional single-site probability over all pinnings.
 
@@ -640,14 +618,11 @@ def marginal_lower_bound(dist: DenseDistribution) -> float:
 
 
 def dobrushin_contraction_norm(dist: DenseDistribution) -> float:
-    """min of the sqrt(norm1*norminf) bound and the power-iteration value
-    for the two-norm of the Dobrushin matrix."""
+    """Two-norm (largest singular value) of the Dobrushin matrix."""
     a = dobrushin_matrix(dist)
     if a.size == 0:
         return 0.0
-    one = float(np.max(np.sum(np.abs(a), axis=0)))
-    inf = float(np.max(np.sum(np.abs(a), axis=1)))
-    return min(math.sqrt(one * inf), power_iteration_two_norm(a))
+    return float(np.linalg.norm(a, 2))
 
 
 def dobrushin_mls_threshold(dist: DenseDistribution) -> Optional[float]:

@@ -12,6 +12,10 @@ together with a sampled-field estimator for the supremum of the
 influence inf-norm over all external fields, and the homogenization
 construction that turns mu into a distribution over n-element subsets of
 a 2n-element ground set with a rigidly related correlation spectrum.
+
+Every matrix is read off the site and pair moments of a law held on its
+support states (SupportLaw).  The homogenization is one such law: its
+2^n faces, never a table over the 2n ground elements.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .capacity import CapacityError, check_site_count
+from .capacity import CapacityError
 from .exact import DenseDistribution, insert_zero_bit, site_conditional_plus
 
 # Byte bound on one chunk of the moment kernel: a chunk of states holds at
@@ -113,16 +117,20 @@ def signed_influence_matrix(dist: DenseDistribution) -> np.ndarray:
     return _influence(_moments(dist)[None])[0]
 
 
+def _correlation(moments: np.ndarray) -> np.ndarray:
+    """Correlation matrix of the +1 sets from one (2, n, n+1) moments array."""
+    n = moments.shape[1]
+    q = moments[0, :, n]                    # P[sigma_i = +1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = moments[0, :, :n] / q[:, None] - q
+    out[q <= 0.0] = 0.0
+    out[np.arange(n), np.arange(n)] = moments[1, :, n]
+    return out
+
+
 def correlation_matrix(dist: DenseDistribution) -> np.ndarray:
     """Correlation matrix of the +1 sets of the distribution."""
-    n = dist.n
-    m = _moments(dist)
-    q = m[0, :, n]                          # P[sigma_i = +1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = m[0, :, :n] / q[:, None] - q
-    out[q <= 0.0] = 0.0
-    out[np.arange(n), np.arange(n)] = m[1, :, n]
-    return out
+    return _correlation(_moments(dist))
 
 
 def dobrushin_matrix(dist: DenseDistribution) -> np.ndarray:
@@ -289,40 +297,21 @@ def si_sup_estimate(
                        fields_evaluated=int(values.size))
 
 
-@dataclass(frozen=True)
-class HomogenizedDistribution:
-    """Distribution over n-element subsets of a 2n-element ground set.
+def homogenize(dist: DenseDistribution) -> SupportLaw:
+    """Pair each site with a mirror element so all faces have size n.
 
     Configuration sigma maps to the set of its +1 sites among the first n
-    elements, together with the mirror images (index n+i) of its -1 sites.
-    The dense table lives on 2n bit-packed coordinates.
+    elements of a 2n-element ground set, together with the mirror images
+    (element n+i) of its -1 sites.  Returns the law (2n, faces,
+    probabilities) on the images of the support of dist, the faces in
+    increasing mask order; no table over the 2n sites is built.
     """
-
-    base_n: int
-    dense: DenseDistribution
-
-    @property
-    def ground_size(self) -> int:
-        return 2 * self.base_n
-
-    def face_masks(self) -> np.ndarray:
-        """Bit masks of the support faces, aligned with face_probs."""
-        return self.dense.support_indices
-
-    def face_probs(self) -> np.ndarray:
-        return self.dense.prob[self.dense.support_indices]
-
-
-def homogenize(dist: DenseDistribution) -> HomogenizedDistribution:
-    """Pair each site with a mirror element so all faces have size n."""
     n = dist.n
-    check_site_count(2 * n, "homogenization")
-    full = (1 << n) - 1
-    idx = np.arange(1 << n, dtype=np.int64)
-    hom_idx = idx | ((~idx & full) << n)
-    p = np.zeros(1 << (2 * n))
-    p[hom_idx] = dist.prob
-    return HomogenizedDistribution(base_n=n, dense=DenseDistribution(2 * n, p))
+    # the mirror half holds the complement of sigma, so masks increase
+    # as sigma's index decreases
+    states = dist.support_indices[::-1]
+    faces = states | ((~states & ((1 << n) - 1)) << n)
+    return 2 * n, faces, dist.prob[states]
 
 
 def match_spectra(a: Sequence[complex], b: Sequence[complex]) -> float:
@@ -351,8 +340,7 @@ def homog_spectrum_check(dist: DenseDistribution, tol: float = 1e-7) -> dict:
     """
     n = dist.n
     inf_m = signed_influence_matrix(dist)
-    hom = homogenize(dist)
-    cor = correlation_matrix(hom.dense)
+    cor = _correlation(next(_site_moments(homogenize(dist), np.zeros((1, 2 * n))))[0])
     cor_eigs = np.linalg.eigvals(cor)
     inf_eigs = np.linalg.eigvals(inf_m)
     expected = np.concatenate([inf_eigs + 1.0, np.zeros(n, dtype=np.complex128)])

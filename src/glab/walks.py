@@ -12,6 +12,12 @@ Entropy and divergence contract at rate kappa along the walk; the checks
 here verify that contraction, its data-processing monotonicity, and the
 identity expressing uniform-block entropy averages as differences of
 level entropies of the homogenized distribution.
+
+A level structure is built from its top faces alone: for a homogenization
+these are the 2^n faces of spectral.homogenize, so the only limit is the
+level byte budget (capacity.LEVEL_BYTE_BUDGET), never a table over the
+2n ground elements.  Entropies and divergences are exact's, read on
+plain probability vectors over the faces of one level.
 """
 
 from __future__ import annotations
@@ -24,9 +30,9 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .capacity import LEVEL_BYTE_BUDGET, CapacityError
-from .exact import DenseDistribution, FunctionLike, as_values
+from .exact import DenseDistribution, FunctionLike, _kl, as_values, entropy_of_values
 from .factorization import CheckReport, kappa, ubf_average
-from .spectral import HomogenizedDistribution
+from .spectral import SupportLaw
 
 # Bytes per (top face, subface) pair, the unit of a level structure's
 # size.  Under tracemalloc build_levels peaked at 19-34 of them on
@@ -113,8 +119,11 @@ def build_levels(ground: int, k: int, faces: Sequence[int], probs: Sequence[floa
                   cols=tuple(cols))
 
 
-def levels_from_homogenized(hom: HomogenizedDistribution) -> Levels:
-    return build_levels(hom.ground_size, hom.base_n, hom.face_masks(), hom.face_probs())
+def levels_from_homogenized(hom: SupportLaw) -> Levels:
+    """Level sets of a homogenization (spectral.homogenize), whose faces
+    have half the ground set each."""
+    ground, faces, probs = hom
+    return build_levels(ground, ground // 2, faces, probs)
 
 
 def uniform_slice_levels(n: int, k: int) -> Levels:
@@ -180,28 +189,6 @@ def lift_level_function(levels: Levels, f_top: np.ndarray, j: int) -> np.ndarray
             / _level_sums(levels, levels.top_prob, j))
 
 
-def vector_entropy(p: np.ndarray, f: np.ndarray) -> float:
-    """Ent[f] for a plain probability vector."""
-    p = np.asarray(p, dtype=np.float64)
-    f = np.asarray(f, dtype=np.float64)
-    if np.any(f < 0):
-        raise ValueError("f must be nonnegative")
-    mean_f = float(np.sum(p * f))
-    if mean_f <= 0:
-        return 0.0
-    flogf = np.where(f > 0, f * np.log(np.where(f > 0, f, 1.0)), 0.0)
-    return max(0.0, float(np.sum(p * flogf)) - mean_f * math.log(mean_f))
-
-
-def vector_kl(nu: np.ndarray, mu: np.ndarray) -> float:
-    nu = np.asarray(nu, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64)
-    on = nu > 0
-    if np.any(mu[on] <= 0):
-        raise ValueError("KL divergence needs support(nu) within support(mu)")
-    return max(0.0, float(np.sum(nu[on] * (np.log(nu[on]) - np.log(mu[on])))))
-
-
 def entropy_contraction_check(
     levels: Levels,
     nu_top: np.ndarray,
@@ -221,8 +208,8 @@ def entropy_contraction_check(
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     factor = 1.0 - kappa(j, levels.k, 1.0 / alpha)
-    kl_top = vector_kl(nu_top, levels.top_prob)
-    kl_j = vector_kl(push_down(levels, nu_top, j), level_distribution(levels, j))
+    kl_top = _kl(nu_top, levels.top_prob)
+    kl_j = _kl(push_down(levels, nu_top, j), level_distribution(levels, j))
     return CheckReport.le(name, instance, kl_j, factor * kl_top, factor)
 
 
@@ -238,8 +225,8 @@ def local_entropy_decay_check(
     if not 0.0 <= contraction <= 1.0:
         raise ValueError("contraction must lie in [0, 1]")
     factor = 1.0 - contraction
-    ent_top = vector_entropy(levels.top_prob, np.asarray(f_top, dtype=np.float64))
-    ent_j = vector_entropy(level_distribution(levels, j), lift_level_function(levels, f_top, j))
+    ent_top = entropy_of_values(levels.top_prob, f_top)
+    ent_j = entropy_of_values(level_distribution(levels, j), lift_level_function(levels, f_top, j))
     return CheckReport.le(name, instance, ent_j, factor * ent_top, factor)
 
 
@@ -247,7 +234,7 @@ def kl_by_level(levels: Levels, nu_top: np.ndarray) -> List[float]:
     """KL divergence after pushing both measures down to each level, top first."""
     out = []
     for j in range(levels.k, -1, -1):
-        out.append(vector_kl(push_down(levels, nu_top, j), level_distribution(levels, j)))
+        out.append(_kl(push_down(levels, nu_top, j), level_distribution(levels, j)))
     return out
 
 
@@ -271,8 +258,8 @@ def ubf_ed_identity(
 
     # a top face's first n elements are the +1 sites of its configuration
     f_top = vals[np.asarray(levels.faces[levels.k]) & ((1 << n) - 1)]
-    ent_top = vector_entropy(levels.top_prob, f_top)
-    ent_low = vector_entropy(
+    ent_top = entropy_of_values(levels.top_prob, f_top)
+    ent_low = entropy_of_values(
         level_distribution(levels, n - j), lift_level_function(levels, f_top, n - j)
     )
     return lhs, ent_top - ent_low

@@ -93,11 +93,15 @@ def test_emit_series_streams_the_oracle_bytes(tmp_path, monkeypatch):
         emit_series(tmp_path / "bad.csv", ("a", "b"), iter([(1, 2)] * 9 + [(3,)]))
 
 
-def test_level_rows_csv(tmp_path):
+def _homogenized_levels(model):
     from glab.spectral import homogenize
     from glab.walks import levels_from_homogenized
 
-    levels = levels_from_homogenized(homogenize(enumerate_gibbs(MODEL)))
+    return levels_from_homogenized(homogenize(enumerate_gibbs(model)))
+
+
+def test_level_rows_csv(tmp_path):
+    levels = _homogenized_levels(MODEL)
     emit_series(tmp_path / "lv.csv", ("level", "face", "probability"), _level_rows(levels))
     lv = (tmp_path / "lv.csv").read_text().splitlines()
     assert lv[0] == "level,face,probability"
@@ -181,15 +185,13 @@ def test_emit_series_rejects_non_finite_like_oracle(series, bad, data):
 
 def test_level_rows_match_oracle(tmp_path):
     from oracles import oracle_emit_series, oracle_level_rows
-    from glab.spectral import homogenize
-    from glab.walks import levels_from_homogenized
 
     lam = (2.0, 0.5) * 4
     models = {"cycle8": IsingModel(n=8, edges=cycle_edges(8), beta=0.6, lam=lam),
               "star8": IsingModel(n=8, edges=star_edges(8), beta=0.9, lam=lam)}
     header = ("level", "face", "probability")
     for name, model in models.items():
-        levels = levels_from_homogenized(homogenize(enumerate_gibbs(model)))
+        levels = _homogenized_levels(model)
         got, want = tmp_path / f"{name}.csv", tmp_path / f"{name}_oracle.csv"
         emit_series(got, header, _level_rows(levels))
         oracle_emit_series(want, header, oracle_level_rows(levels))
@@ -264,6 +266,41 @@ def test_hf_suite_reports_budget_skips(tmp_path, model_file, monkeypatch):
     assert [c["name"] for c in skipped] == ["hf-identity-k2-ell-3"]
     assert skipped[0]["pass"] is True
     assert {"hf-identity-k2-ell-1", "hf-identity-k2-ell-6"} <= {c["name"] for c in checks}
+
+
+def _cycle(n):
+    return IsingModel(n=n, edges=cycle_edges(n), beta=0.6, lam=((2.0, 0.5) * n)[:n])
+
+
+def test_influence_suite_runs_on_twelve_sites():
+    import glab.cli as cli
+
+    # the 12-site homogenization is held on its 4096 faces, not a 24-site table
+    model = _cycle(12)
+    cfg = RunConfig(command="influence", model_path="", seed=7)
+    checks, payload, _ = cli._suite_influence(model, enumerate_gibbs(model), cfg, "cycle12")
+    assert [c.name for c in checks] == ["homogenized-correlation-spectrum"]
+    assert checks[0].passed
+    assert len(payload["homogenized_spectrum"]["correlation_spectrum"]) == 24
+
+
+def test_walks_suite_skips_above_the_level_budget(monkeypatch):
+    import glab.cli as cli
+    import glab.walks as walks
+
+    def build_nothing(*args):
+        raise AssertionError("a level structure was built")
+
+    # 2^13 top faces of size 13 need 4 GiB of levels: the budget refuses
+    # them before any subface is listed
+    monkeypatch.setattr(walks, "_combinations", build_nothing)
+    model = _cycle(13)
+    cfg = RunConfig(command="walks", model_path="", seed=7)
+    checks, payload, series = cli._suite_walks(model, enumerate_gibbs(model), cfg, "cycle13")
+    assert len(checks) == 1 and checks[0].passed
+    assert checks[0].witness.startswith("skipped: ")
+    assert "budget" in checks[0].witness
+    assert (payload, series) == ({}, [])
 
 
 def test_run_suite_rejects_unknown():

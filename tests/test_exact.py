@@ -7,12 +7,14 @@ from hypothesis import given, settings, strategies as st
 from glab.exact import (
     DenseDistribution,
     FieldAssignment,
+    _kl,
     Pinning,
     as_values,
     boundary_split,
     condition,
     distribution_from_weights,
     entropy_functional,
+    entropy_of_values,
     enumerate_gibbs,
     flip,
     kl_divergence,
@@ -22,7 +24,6 @@ from glab.exact import (
     point_mass,
     site_conditional_plus,
     site_ment_profile,
-    site_split,
     total_variation,
     uniform_distribution,
 )
@@ -137,6 +138,11 @@ def test_entropy_nonnegative_zero_on_constants():
     assert entropy_functional(d, np.full(16, 3.7)) == pytest.approx(0.0, abs=1e-12)
     f = random_positive_f(4, 78)
     assert entropy_functional(d, f) >= 0.0
+    # the same functional on plain vectors, as the down-up walk levels use it
+    assert entropy_of_values([0.5, 0.5], [2.0, 0.0]) == pytest.approx(math.log(2.0), rel=1e-12)
+    assert entropy_of_values(d.prob, f) == entropy_functional(d, f)
+    with pytest.raises(ValueError, match="nonnegative"):
+        entropy_of_values([0.5, 0.5], [2.0, -1.0])
 
 
 def test_kl_and_tv():
@@ -146,16 +152,26 @@ def test_kl_and_tv():
     assert total_variation(a, b) == pytest.approx(0.5, rel=1e-12)
     with pytest.raises(ValueError):
         kl_divergence(b, a)
+    # the same divergence on plain vectors, as the down-up walk levels use it
+    assert _kl(np.array([1.0, 0.0]), np.array([0.5, 0.5])) == pytest.approx(math.log(2.0), rel=1e-12)
+    with pytest.raises(ValueError):
+        _kl(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
 
 def test_site_conditional_plus_matches_brute():
-    d = random_dist(3, 12)
+    d = random_dist(3, 12, zero_frac=0.4)
     for v in range(3):
         mass, cond = site_conditional_plus(d, v)
-        minus, plus = site_split(d, v)
-        assert mass == pytest.approx(minus + plus, rel=1e-12)
-        ok = mass > 0
-        assert cond[ok] == pytest.approx((plus / np.where(mass > 0, mass, 1.0))[ok], rel=1e-12)
+        # boundary b packs the other sites in increasing order
+        want_mass, want_plus = np.zeros(4), np.zeros(4)
+        for x in range(8):
+            b = (x & ((1 << v) - 1)) | ((x >> (v + 1)) << v)
+            want_mass[b] += d.prob[x]
+            want_plus[b] += d.prob[x] if x >> v & 1 else 0.0
+        assert mass == pytest.approx(want_mass, rel=1e-12)
+        ok = want_mass > 0
+        assert cond[ok] == pytest.approx(want_plus[ok] / want_mass[ok], rel=1e-12)
+        assert np.all(np.isnan(cond[~ok]))
 
 
 def test_site_ment_profile_sums_to_expectation():

@@ -3,7 +3,7 @@ import pytest
 
 from glab.capacity import CapacityError
 from glab.exact import DenseDistribution, enumerate_gibbs, uniform_distribution
-from glab.model import IsingModel
+from glab.model import IsingModel, cycle_edges
 from glab import spectral
 from glab.spectral import (
     FieldSamplerConfig,
@@ -80,13 +80,29 @@ def test_match_spectra_zero_on_identical():
 
 
 def test_homogenize_structure():
-    d = edge_dist(0.5)
-    hom = homogenize(d)
-    # every face of the support has exactly n of the 2n ground elements
-    for mask, p in zip(hom.face_masks(), hom.face_probs()):
-        assert bin(mask).count("1") == d.n
-        assert p >= 0
-    assert np.isclose(sum(hom.face_probs()), 1.0)
+    for d in (edge_dist(0.5), random_gibbs(4, 5), random_dist(4, 6, zero_frac=0.4)):
+        n = d.n
+        ground, faces, probs = homogenize(d)
+        assert ground == 2 * n
+        support = d.support_indices
+        assert faces.size == probs.size == support.size
+        if d.full_support():
+            assert faces.size == 1 << n
+        # increasing masks of n elements each: the +1 sites of sigma, then
+        # the mirrors of its -1 sites
+        assert np.all(np.diff(faces) > 0)
+        assert all(bin(int(m)).count("1") == n for m in faces)
+        states = faces & ((1 << n) - 1)
+        assert np.array_equal(faces >> n, ~states & ((1 << n) - 1))
+        assert sorted(states.tolist()) == support.tolist()
+        assert np.array_equal(probs, d.prob[states])
+        # its correlation matrix is that of the dense table over 2n sites
+        dense = np.zeros(1 << ground)
+        dense[faces] = probs
+        want = oracle_correlation(DenseDistribution(ground, dense))
+        got = spectral._correlation(next(spectral._site_moments(
+            (ground, faces, probs), np.zeros((1, ground))))[0])
+        assert np.allclose(got, want, atol=1e-12)
 
 
 def test_homog_spectrum_single_edge_frozen():
@@ -97,10 +113,14 @@ def test_homog_spectrum_single_edge_frozen():
 
 
 def test_homog_spectrum_random_fields():
-    for seed in range(10):
-        d = random_gibbs(4, seed + 300)
+    # the 12-cycle's homogenization lies past the exact limit of a table
+    # over its 24 ground elements, but is held on its 4096 faces
+    cycle12 = enumerate_gibbs(IsingModel(n=12, edges=cycle_edges(12), beta=0.6,
+                                         lam=(2.0, 0.5) * 6))
+    for d in [random_gibbs(4, seed + 300) for seed in range(10)] + [cycle12]:
         out = homog_spectrum_check(d)
         assert out["pass"], out["matching_distance"]
+        assert len(out["correlation_spectrum"]) == 2 * d.n
 
 
 def test_si_sup_estimate_dominates_plain_norm():
