@@ -92,7 +92,7 @@ from .transform import (
 from .walks import (
     build_levels,
     entropy_contraction_check,
-    levels_from_homogenized,
+    homogenized_levels,
     local_entropy_decay_check,
     ubf_ed_identity,
     ubf_ed_identity_check,

@@ -22,9 +22,10 @@ MIXING_BYTE_BUDGET = 2 ** 31
 # subface) pair: 1 GiB admits the homogenized 12-site distribution (4096
 # faces of size 12, exactly 1 GiB by that count) and refuses 13 sites.
 # It is the walks suite's only limit, since a homogenization is held on
-# its 2^n faces.  On a 2-core x86 machine (numpy 2.4) build_levels took
-# 1.6 s and peaked at 416 MB RSS on the 12-cycle, and the whole walks
-# suite, which builds two such structures, 6.4 s and 590 MB.
+# its 2^n faces.  On a 2-core x86 machine (numpy 2.4, one BLAS thread)
+# build_levels took 1.9-2.5 s and peaked at 418 MB RSS on the 12-cycle,
+# and the whole walks suite, which builds that one structure and the
+# uniform 3-subsets of 6, 3.6-3.8 s and 419 MB.
 LEVEL_BYTE_BUDGET = 2 ** 30
 
 # (block, state) pairs a lifted block average may enumerate: C(nk, ell)

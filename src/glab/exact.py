@@ -70,10 +70,6 @@ class DenseDistribution:
         object.__setattr__(self, "prob", p)
 
     @property
-    def support_mask(self) -> np.ndarray:
-        return self.prob > 0
-
-    @property
     def support_indices(self) -> np.ndarray:
         return np.nonzero(self.prob > 0)[0]
 

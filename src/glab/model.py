@@ -87,9 +87,6 @@ class IsingModel:
             adj[v].append(u)
         return adj
 
-    def with_fields(self, lam) -> "IsingModel":
-        return IsingModel(self.n, self.edges, self.beta, np.asarray(lam, dtype=np.float64), self.delta)
-
 
 def log_weight_table(model: IsingModel) -> np.ndarray:
     """Vector of log-weights over all 2^n bit-packed configurations."""

@@ -300,18 +300,21 @@ def si_sup_estimate(
 def homogenize(dist: DenseDistribution) -> SupportLaw:
     """Pair each site with a mirror element so all faces have size n.
 
-    Configuration sigma maps to the set of its +1 sites among the first n
-    elements of a 2n-element ground set, together with the mirror images
-    (element n+i) of its -1 sites.  Returns the law (2n, faces,
-    probabilities) on the images of the support of dist, the faces in
-    increasing mask order; no table over the 2n sites is built.
+    Returns the law (2n, faces, probabilities) on the faces
+    (homogenized_faces) of the support of dist, in increasing mask order;
+    no table over the 2n sites is built.
     """
-    n = dist.n
     # the mirror half holds the complement of sigma, so masks increase
     # as sigma's index decreases
     states = dist.support_indices[::-1]
-    faces = states | ((~states & ((1 << n) - 1)) << n)
-    return 2 * n, faces, dist.prob[states]
+    return 2 * dist.n, homogenized_faces(dist.n, states), dist.prob[states]
+
+
+def homogenized_faces(n: int, states: np.ndarray) -> np.ndarray:
+    """Face of each configuration index in a 2n-element ground set: its
+    +1 sites i among the first n elements, and the mirror elements n+i of
+    its -1 sites."""
+    return states | ((~states & ((1 << n) - 1)) << n)
 
 
 def match_spectra(a: Sequence[complex], b: Sequence[complex]) -> float:

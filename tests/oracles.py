@@ -416,23 +416,23 @@ def _subface_masks(mask, j):
     return out
 
 
-def oracle_levels(k, faces, probs):
-    """(faces, top_prob) of the downward closure of the support faces.
+def oracle_levels(k, faces, law):
+    """(faces, top law) of the downward closure of the given top faces.
 
-    Enumerates every subset of every support face into a set per level
-    and sorts each level lexicographically by its elements.
+    Enumerates every subset of every top face into a set per level and
+    sorts each level lexicographically by its elements; the law comes
+    back aligned with the sorted top faces and divided by its sum.
     """
-    support = [(int(m), float(p)) for m, p in zip(faces, probs) if p > 0]
     level_sets = [set() for _ in range(k + 1)]
-    for m, _ in support:
+    for m in faces:
         for j in range(k + 1):
-            level_sets[j].update(_subface_masks(m, j))
+            level_sets[j].update(_subface_masks(int(m), j))
     ordered = tuple(tuple(sorted(s, key=mask_bits)) for s in level_sets)
     top_index = {m: i for i, m in enumerate(ordered[k])}
-    top_prob = np.zeros(len(ordered[k]))
-    for m, p in support:
-        top_prob[top_index[m]] = p
-    return ordered, top_prob / float(np.sum(top_prob))
+    top = np.zeros(len(ordered[k]))
+    for m, p in zip(faces, law):
+        top[top_index[int(m)]] = p
+    return ordered, top / float(np.sum(top))
 
 
 def oracle_down_matrix(levels, frm, to):
@@ -446,15 +446,19 @@ def oracle_down_matrix(levels, frm, to):
     return out
 
 
-def oracle_up_matrix(levels, j):
-    """Row-stochastic matrix regrowing a level-j face to a top face in
-    proportion to the top probabilities."""
+def oracle_up_matrix(levels, mu, j):
+    """Matrix regrowing a level-j face to a top face in proportion to the
+    top law mu; zero rows for the faces mu does not reach."""
     row_index = {m: i for i, m in enumerate(levels.faces[j])}
     out = np.zeros((len(levels.faces[j]), len(levels.faces[levels.k])))
     for t, mask in enumerate(levels.faces[levels.k]):
         for sub in _subface_masks(mask, j):
-            out[row_index[sub], t] += levels.top_prob[t]
-    return out / out.sum(axis=1, keepdims=True)
+            out[row_index[sub], t] += mu[t]
+    for row in out:
+        total = row.sum()
+        if total > 0:
+            row /= total
+    return out
 
 
 def oracle_run_chain(source, steps, seed, init=None, thin=1, label="glauber-chain"):
@@ -536,15 +540,17 @@ def oracle_emit_series(path, header, rows):
     return str(path)
 
 
-def oracle_level_rows(levels):
-    """(level, face, probability) rows, one `mask_bits` call per face."""
+def oracle_level_rows(levels, mu):
+    """(level, face, probability) rows of the faces the top law mu
+    reaches, one `mask_bits` call per face."""
     from glab.walks import level_distribution
 
     rows = []
     for j in range(levels.k + 1):
-        probs = level_distribution(levels, j)
+        probs = level_distribution(levels, mu, j)
         for mask, p in zip(levels.faces[j], probs):
-            rows.append((j, "|".join(str(e) for e in mask_bits(mask)), float(p)))
+            if p > 0:
+                rows.append((j, "|".join(str(e) for e in mask_bits(mask)), float(p)))
     return rows
 
 

@@ -47,13 +47,13 @@ from glab.spectral import (
     correlation_matrix,
     dobrushin_matrix,
     homog_spectrum_check,
-    homogenize,
     signed_influence_matrix,
 )
 from glab.transform import k_transform, ktrans_influence_check, lifted_entropy_identity
 from glab.walks import (
     entropy_contraction_check,
-    levels_from_homogenized,
+    homogenized_law,
+    homogenized_levels,
     local_entropy_decay_check,
     ubf_ed_identity_check,
     uniform_slice_levels,
@@ -261,22 +261,25 @@ def test_criterion_10_walk_contraction(announce):
     batteries = []
     for n in (4, 5, 6):
         prod = product_distribution(n, 12_000 + n)
-        batteries.append((f"product-{n}", levels_from_homogenized(homogenize(prod))))
+        levels = homogenized_levels(n)
+        batteries.append((f"product-{n}", levels, homogenized_law(levels, prod)))
     for n, k in ((4, 2), (5, 2), (6, 3)):
-        batteries.append((f"uniform-{n}-{k}", uniform_slice_levels(n, k)))
+        levels = uniform_slice_levels(n, k)
+        size = levels.face_count(k)
+        batteries.append((f"uniform-{n}-{k}", levels, np.full(size, 1.0 / size)))
     draw = 0
-    for label, levels in batteries:
+    for label, levels, mu in batteries:
         for rep_i in range(17):
             gen = np.random.default_rng(13_000 + draw)
-            nu = levels.top_prob * np.exp(gen.normal(size=levels.top_prob.size))
+            nu = mu * np.exp(gen.normal(size=mu.size))
             nu = nu / nu.sum()
-            f = np.exp(np.random.default_rng(13_500 + draw).normal(size=levels.top_prob.size))
+            f = np.exp(np.random.default_rng(13_500 + draw).normal(size=mu.size))
             draw += 1
             for j in range(1, levels.k):
-                if not entropy_contraction_check(levels, nu, j, alpha=1.0).passed:
+                if not entropy_contraction_check(levels, mu, nu, j, alpha=1.0).passed:
                     bad.append((label, rep_i, j, "contraction"))
                 if not local_entropy_decay_check(
-                    levels, f, j, contraction=kappa(j, levels.k, 1.0)
+                    levels, mu, f, j, contraction=kappa(j, levels.k, 1.0)
                 ).passed:
                     bad.append((label, rep_i, j, "decay"))
     assert draw >= 100
@@ -284,7 +287,7 @@ def test_criterion_10_walk_contraction(announce):
         n = 2 + i % 3
         d = random_gibbs(n, 14_000 + i)
         f = random_positive_f(n, 14_500 + i)
-        levels = levels_from_homogenized(homogenize(d))
+        levels = homogenized_levels(n)
         for j in range(1, n + 1):
             rep = ubf_ed_identity_check(d, levels, f, j)
             if not rep.passed:

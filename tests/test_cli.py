@@ -93,16 +93,17 @@ def test_emit_series_streams_the_oracle_bytes(tmp_path, monkeypatch):
         emit_series(tmp_path / "bad.csv", ("a", "b"), iter([(1, 2)] * 9 + [(3,)]))
 
 
-def _homogenized_levels(model):
-    from glab.spectral import homogenize
-    from glab.walks import levels_from_homogenized
+def _homogenized(model):
+    """(levels, law) of a model's homogenization."""
+    from glab.walks import homogenized_law, homogenized_levels
 
-    return levels_from_homogenized(homogenize(enumerate_gibbs(model)))
+    levels = homogenized_levels(model.n)
+    return levels, homogenized_law(levels, enumerate_gibbs(model))
 
 
 def test_level_rows_csv(tmp_path):
-    levels = _homogenized_levels(MODEL)
-    emit_series(tmp_path / "lv.csv", ("level", "face", "probability"), _level_rows(levels))
+    levels, mu = _homogenized(MODEL)
+    emit_series(tmp_path / "lv.csv", ("level", "face", "probability"), _level_rows(levels, mu))
     lv = (tmp_path / "lv.csv").read_text().splitlines()
     assert lv[0] == "level,face,probability"
     assert lv[1].startswith("0,,")  # the empty face
@@ -191,10 +192,10 @@ def test_level_rows_match_oracle(tmp_path):
               "star8": IsingModel(n=8, edges=star_edges(8), beta=0.9, lam=lam)}
     header = ("level", "face", "probability")
     for name, model in models.items():
-        levels = _homogenized_levels(model)
+        levels, mu = _homogenized(model)
         got, want = tmp_path / f"{name}.csv", tmp_path / f"{name}_oracle.csv"
-        emit_series(got, header, _level_rows(levels))
-        oracle_emit_series(want, header, oracle_level_rows(levels))
+        emit_series(got, header, _level_rows(levels, mu))
+        oracle_emit_series(want, header, oracle_level_rows(levels, mu))
         assert got.read_bytes() == want.read_bytes()
         faces = [line.split(",")[1] for line in got.read_text().splitlines()[1:]]
         assert max(int(e) for face in faces if face for e in face.split("|")) >= 8
@@ -301,6 +302,80 @@ def test_walks_suite_skips_above_the_level_budget(monkeypatch):
     assert checks[0].witness.startswith("skipped: ")
     assert "budget" in checks[0].witness
     assert (payload, series) == ({}, [])
+
+
+def test_walks_suite_builds_each_incidence_once(monkeypatch):
+    import glab.cli as cli
+    import glab.walks as walks
+
+    built = []
+    build = walks.build_levels
+
+    def counted(ground, k, faces):
+        built.append((ground, k))
+        return build(ground, k, faces)
+
+    # the product law and the model law share the homogenized cube
+    monkeypatch.setattr(walks, "build_levels", counted)
+    model = _cycle(5)
+    cfg = RunConfig(command="walks", model_path="", seed=7)
+    checks, _, _ = cli._suite_walks(model, enumerate_gibbs(model), cfg, "cycle5")
+    assert all(c.passed for c in checks)
+    assert built == [(10, 5), (6, 3)]
+
+
+def test_walks_suite_runs_without_full_support(tmp_path):
+    from glab.spectral import homogenize
+
+    from oracles import mask_bits, oracle_levels
+
+    # the two tiny fields underflow: the 4 states with both sites plus
+    # have probability 0
+    model = IsingModel(n=4, edges=cycle_edges(4), beta=0.6, lam=(1e-300, 1e-300, 1.0, 1.0))
+    dist = enumerate_gibbs(model)
+    assert np.count_nonzero(dist.prob == 0) == 4
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_to_json(model)))
+    out = CliRunner().invoke(main, ["run", "--suite", "walks", "--model", str(path),
+                                    "--seed", "7", "--out", str(tmp_path / "r")])
+    assert out.exit_code == 0, out.output
+    body = json.loads((tmp_path / "r" / "walks.json").read_text())
+    assert body["pass"] is True
+    assert body["payload"] == {"model_top_faces": 12, "product_top_faces": 12}
+    for name in ("walks.json", "walks_levels.csv", "walks_kl.csv"):
+        assert "nan" not in (tmp_path / "r" / name).read_text().lower()
+    # the rows are the downward closure of the support faces, no more
+    rows = [line.split(",") for line in
+            (tmp_path / "r" / "walks_levels.csv").read_text().splitlines()[1:]]
+    want_faces, _ = oracle_levels(4, *homogenize(dist)[1:])
+    want = [(str(j), "|".join(map(str, mask_bits(m)))) for j in range(5) for m in want_faces[j]]
+    assert [(level, face) for level, face, _ in rows] == want
+    assert len(rows) == 72
+    assert all(float(p) > 0 for _, _, p in rows)
+
+
+def test_ktransform_suite_reports_capacity_skips(tmp_path, monkeypatch):
+    # 9 sites admit neither the 10-site nor the 15-site lift of 5 sites
+    monkeypatch.setenv("GLAB_CAPACITY", "9")
+    path = tmp_path / "cycle5.json"
+    path.write_text(json.dumps(model_to_json(_cycle(5))))
+    result = run_suite(RunConfig(command="ktransform", model_path=str(path), seed=7,
+                                 out_dir=str(tmp_path / "out")))
+    assert result.passed
+    body = json.loads((tmp_path / "out" / "ktransform.json").read_text())
+    assert [c["name"] for c in body["checks"]] == ["lift-capacity-k2", "lift-capacity-k3"]
+    assert all(c["pass"] and c["witness"].startswith("skipped: ") for c in body["checks"])
+    assert body["payload"]["ks"] == []
+
+
+def test_report_without_checks_fails(tmp_path, model_file, monkeypatch):
+    import glab.cli as cli
+
+    monkeypatch.setitem(cli._SUITE_FUNCS, "compare", lambda *args: ([], {}, []))
+    result = run_suite(RunConfig(command="compare", model_path=model_file, seed=0,
+                                 out_dir=str(tmp_path / "out")))
+    assert not result.passed
+    assert json.loads((tmp_path / "out" / "compare.json").read_text())["pass"] is False
 
 
 def test_run_suite_rejects_unknown():
