@@ -11,12 +11,24 @@ import os
 
 DEFAULT_EXACT_LIMIT = 22
 
-# Bytes of m x R row arrays an exact mixing-time computation may hold at
-# once, three of them for R stepped rows over m support states (24 m R
-# bytes).  2 GiB admits every row of m = 8192 states (13 sites without
-# symmetry) and refuses m = 16384; the uniform-field cycle, stepping one
-# row per orbit, fits up to 16 sites (m = 65536, R = 1162) and not 17.
+# Bytes an exact mixing-time computation may hold for R stepped rows
+# over m support states: two m x R arrays the rows step between, in
+# column blocks of c = min(R, 128), and one m x c scratch buffer for the
+# TVs, 8 m (2R + c) bytes.  2 GiB admits every row of m = 8192 states
+# (13 sites without symmetry) and refuses m = 16384; the uniform-field
+# cycle, stepping one row per orbit, fits up to 16 sites (m = 65536,
+# R = 1162) and not 17.
 MIXING_BYTE_BUDGET = 2 ** 31
+
+# Multiply-adds an exact mixing-time computation may spend: steps x R
+# stepped rows x nonzeros of the kernel, checked before every step, so a
+# torpid chain stops with CapacityError instead of stepping for hours.
+# On a 2-core x86 machine (numpy 2.4, scipy 1.17) the 10-site complete
+# graph at beta = 1.5 * 9/7, lambda = 1 (t_mix 207,170, R = 6) took 1.40e10
+# of them in 22 s, and the uniform 15-cycle at beta = 0.6 (t_mix 43,
+# R = 612) 1.38e10 in 13 s.  The budget admits both and stops the 16-site
+# complete graph at beta = 1.5 * 15/13 after 3,426 steps, in 32 s.
+MIXING_STEP_BUDGET = 2 ** 35
 
 # Bytes a down-up walk level structure may take, counted per (top face,
 # subface) pair: 1 GiB admits the homogenized 12-site distribution (4096

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .capacity import MIXING_BYTE_BUDGET, CapacityError
+from .capacity import MIXING_BYTE_BUDGET, MIXING_STEP_BUDGET, CapacityError
 from .exact import (
     BoundarySplit,
     DenseDistribution,
@@ -406,8 +406,10 @@ def _mixing_bracket(dist: DenseDistribution, eps: float) -> Tuple[int, np.ndarra
     stationary law is invariant under it, so TV(P^t(x,.), pi) is the same
     for every x in an orbit: stepping the rows of one representative per
     orbit gives the exact worst start.  When some step's TV lies within
-    _ORBIT_MARGIN of eps, every support row is stepped instead.  Both
-    runs are capped by a byte budget on the live row arrays.
+    _ORBIT_MARGIN of eps, every support row is stepped instead, with the
+    same transposed kernel.  Both runs step their rows in place, in
+    column blocks (see _step_rows), and are capped by a byte budget on
+    the live blocks and a step budget on the multiply-adds.
     """
     from scipy.sparse.csgraph import connected_components
 
@@ -418,43 +420,84 @@ def _mixing_bracket(dist: DenseDistribution, eps: float) -> Tuple[int, np.ndarra
     if classes > 1:
         raise RuntimeError(f"chain is reducible: its kernel splits the support into "
                            f"{classes} classes, so it never mixes")
+    step_op = tm.matrix.T.tocsr()
     reps = orbit_representatives(dist)
-    t_mix, tvs, margin = _step_rows(tm, reps, eps)
+    t_mix, tvs, margin = _step_rows(tm, step_op, reps, eps)
     if margin < _ORBIT_MARGIN and reps.size < tm.size:
-        t_mix, tvs, _ = _step_rows(tm, np.arange(tm.size), eps)
+        t_mix, tvs, _ = _step_rows(tm, step_op, np.arange(tm.size), eps)
     return t_mix, tvs
 
 
+# stepped rows per column block: each block steps between two (m, c)
+# buffers of its own, so no step allocates
+_STEP_COLUMNS = 128
+
+
 def _step_rows(
-    tm: TransitionMatrix, rows: np.ndarray, eps: float
+    tm: TransitionMatrix, step_op: sp.csr_matrix, rows: np.ndarray, eps: float
 ) -> Tuple[int, np.ndarray, float]:
     """Step the rows P^t(x,.) for x in rows until their worst TV to pi is
-    at most eps: (t, worst TV at every step 0..t, least |TV - eps| seen)."""
+    at most eps: (t, worst TV at every step 0..t, least |TV - eps| seen).
+
+    step_op is the transposed kernel P^T in CSR form.  Column j of a
+    block holds P^t(x_j, .); one step zeroes the block's other buffer
+    and adds P^T times this one into it with scipy's csr_matvecs, the
+    kernel behind `step_op @ x`, and the block's TVs are read through one
+    shared (m, c) scratch buffer while it is still in cache.  Raises
+    CapacityError before allocating when the 8 m (2R + min(R, c)) bytes
+    of the blocks and scratch exceed MIXING_BYTE_BUDGET, and before the
+    step whose multiply-adds, steps x R x nnz(P), would exceed
+    MIXING_STEP_BUDGET.
+    """
+    from scipy.sparse._sparsetools import csr_matvecs
+
     m, r = tm.size, rows.size
-    # live m x r float64 arrays at the peak: the rows, their next step
-    # and the TV buffer
-    need = 3 * 8 * m * r
+    width = min(r, _STEP_COLUMNS)
+    need = 8 * m * (2 * r + width)
     if need > MIXING_BYTE_BUDGET:
         raise CapacityError(
             f"mixing over {m} support states needs {need} bytes for {r} rows, "
             f"above the budget of {MIXING_BYTE_BUDGET} bytes")
-    step_op = tm.matrix.T.tocsr()
     pi = tm.stationary[:, None]
-    # column j holds P^t(rows[j], .), so one step is P^T @ x
-    x = np.zeros((m, r))
-    x[rows, np.arange(r)] = 1.0
-    buf = np.empty((m, r))
-    tvs: List[float] = []
-    margin = math.inf
-    while True:
+    blocks = []
+    for lo in range(0, r, width):
+        src = np.zeros((m, min(width, r - lo)))
+        src[rows[lo:lo + width], np.arange(src.shape[1])] = 1.0
+        blocks.append((src, np.empty_like(src)))
+    scratch = np.empty((m, width))
+
+    def worst_sum(x: np.ndarray) -> float:
+        buf = scratch[:, :x.shape[1]]
         np.subtract(x, pi, out=buf)
         np.abs(buf, out=buf)
-        tv = 0.5 * float(np.max(np.sum(buf, axis=0)))
+        if buf.shape[1] == 1 and r > 1:
+            # np.sum adds a lone column pairwise, but row by row in a
+            # wider array: keep the order the whole (m, R) array gets
+            return float(np.add.accumulate(buf, axis=0, out=buf)[-1, 0])
+        return float(np.max(np.sum(buf, axis=0)))
+
+    tvs: List[float] = []
+    margin = math.inf
+    worst = max(worst_sum(src) for src, _ in blocks)
+    while True:
+        tv = 0.5 * worst
         tvs.append(tv)
         margin = min(margin, abs(tv - eps))
         if tv <= eps:
             return len(tvs) - 1, np.asarray(tvs), margin
-        x = step_op @ x
+        if len(tvs) * r * step_op.nnz > MIXING_STEP_BUDGET:
+            raise CapacityError(
+                f"mixing over {m} support states stopped after {len(tvs) - 1} steps of "
+                f"{r} rows at TV {tv:.6g} > {eps}: one more step exceeds the budget of "
+                f"{MIXING_STEP_BUDGET} multiply-adds, {step_op.nnz} (the kernel's nonzeros) "
+                f"per row and step")
+        worst = 0.0
+        for i, (src, dst) in enumerate(blocks):
+            dst.fill(0.0)
+            csr_matvecs(m, m, src.shape[1], step_op.indptr, step_op.indices,
+                        step_op.data, src.ravel(), dst.ravel())
+            blocks[i] = dst, src
+            worst = max(worst, worst_sum(dst))
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,28 @@ def oracle_mixing_bracket(dist, eps, max_doublings=40):
             return t, bracket
 
 
+def oracle_step_rows(tm, rows, eps):
+    """(t, worst TV at every step 0..t, least |TV - eps| seen) by stepping
+    every start row at once in one m x R array, a fresh one per step."""
+    m, r = tm.size, rows.size
+    step_op = tm.matrix.T.tocsr()
+    pi = tm.stationary[:, None]
+    x = np.zeros((m, r))
+    x[rows, np.arange(r)] = 1.0
+    buf = np.empty((m, r))
+    tvs = []
+    margin = math.inf
+    while True:
+        np.subtract(x, pi, out=buf)
+        np.abs(buf, out=buf)
+        tv = 0.5 * float(np.max(np.sum(buf, axis=0)))
+        tvs.append(tv)
+        margin = min(margin, abs(tv - eps))
+        if tv <= eps:
+            return len(tvs) - 1, np.asarray(tvs), margin
+        x = step_op @ x
+
+
 def oracle_tv_profile(dist, t_max):
     """Worst-start TV at t = 0..t_max from dense powers of the support
     kernel, one product per step."""

@@ -45,6 +45,7 @@ from oracles import (
     oracle_mls_estimate_bfgs,
     oracle_pinned_dobrushin_worst,
     oracle_run_chain,
+    oracle_step_rows,
     oracle_tmix,
     oracle_transition,
     oracle_tv_profile,
@@ -295,6 +296,53 @@ def test_mixing_orbit_route_matches_oracles(d, full):
             assert tvs[t] == pytest.approx(tv, rel=1e-12)
 
 
+def _assert_steps_like_oracle(d, rows, eps=0.25):
+    import glab.glauber as gl
+
+    tm = transition_matrix(d, validate=False)
+    t_mix, tvs, margin = gl._step_rows(tm, tm.matrix.T.tocsr(), rows, eps)
+    want_t, want_tvs, want_margin = oracle_step_rows(tm, rows, eps)
+    assert (t_mix, margin) == (want_t, want_margin)
+    assert tvs.tobytes() == want_tvs.tobytes()
+
+
+@pytest.mark.parametrize("d,full", _mixing_grid())
+def test_step_rows_in_blocks_matches_the_one_array_loop(d, full):
+    _assert_steps_like_oracle(d, orbit_representatives(d))
+    _assert_steps_like_oracle(d, np.arange(d.support_indices.size)[::-1])
+
+
+@pytest.mark.parametrize("width", [lambda r: 1, lambda r: 3, lambda r: r - 1, lambda r: r + 1],
+                         ids=["1", "3", "R-1", "R+1"])
+def test_step_rows_matches_the_one_array_loop_at_any_width(monkeypatch, width):
+    import glab.glauber as gl
+
+    # the alternating 9-cycle has R = 272 orbits, not a multiple of 3;
+    # at width R - 1 its last block holds one column
+    d = enumerate_gibbs(IsingModel(n=9, edges=cycle_edges(9), beta=0.6,
+                                   lam=tuple((2.0, 0.5)[v % 2] for v in range(9))))
+    rows = orbit_representatives(d)
+    assert rows.size == 272
+    monkeypatch.setattr(gl, "_STEP_COLUMNS", width(rows.size))
+    _assert_steps_like_oracle(d, rows)
+
+
+def test_mixing_step_budget(monkeypatch):
+    import glab.glauber as gl
+
+    d = random_gibbs(3, 63)
+    t_mix = mixing_time_exact(d, 0.25)
+    # 8 rows over a kernel with 8 + 8 * 3 = 32 nonzeros: 256 multiply-adds a step
+    nnz = transition_matrix(d).matrix.nnz
+    assert nnz == 32
+    monkeypatch.setattr(gl, "MIXING_STEP_BUDGET", t_mix * 8 * nnz)
+    assert mixing_time_exact(d, 0.25) == t_mix
+    monkeypatch.setattr(gl, "MIXING_STEP_BUDGET", t_mix * 8 * nnz - 1)
+    with pytest.raises(CapacityError, match=f"after {t_mix - 1} steps of 8 rows .* "
+                                            f"budget of {t_mix * 8 * nnz - 1} multiply-adds"):
+        mixing_time_exact(d, 0.25)
+
+
 def test_mixing_orbit_route_steps_fewer_rows():
     d = enumerate_gibbs(IsingModel(n=6, edges=cycle_edges(6), beta=0.6, lam=(1.0,) * 6))
     # 64 states of the uniform 6-cycle: 13 bracelets, 8 orbits once the
@@ -312,9 +360,9 @@ def test_mixing_falls_back_to_every_row_at_the_threshold(monkeypatch):
     calls = []
     real = gl._step_rows
 
-    def spy(tm, rows, eps):
+    def spy(tm, step_op, rows, eps):
         calls.append(rows.size)
-        return real(tm, rows, eps)
+        return real(tm, step_op, rows, eps)
 
     monkeypatch.setattr(gl, "_step_rows", spy)
     assert mixing_time_exact(d, eps) == want_t
@@ -324,6 +372,20 @@ def test_mixing_falls_back_to_every_row_at_the_threshold(monkeypatch):
     monkeypatch.setattr(gl, "MIXING_BYTE_BUDGET", 3 * 8 * 64 * 8)
     with pytest.raises(CapacityError, match="64 support states needs 98304 bytes for 64 rows"):
         mixing_time_exact(d, eps)
+
+
+def test_mixing_byte_budget_counts_one_scratch_block(monkeypatch):
+    import glab.glauber as gl
+
+    d = random_gibbs(3, 63)
+    # 8 rows in blocks of 3: two 8 x 8 arrays and one 8 x 3 scratch
+    # buffer are 8 * 8 * (2 * 8 + 3) = 1216 bytes
+    monkeypatch.setattr(gl, "_STEP_COLUMNS", 3)
+    monkeypatch.setattr(gl, "MIXING_BYTE_BUDGET", 1216)
+    assert mixing_time_exact(d, 0.25) >= 1
+    monkeypatch.setattr(gl, "MIXING_BYTE_BUDGET", 1215)
+    with pytest.raises(CapacityError, match="8 support states needs 1216 bytes"):
+        mixing_time_exact(d, 0.25)
 
 
 def test_mixing_reducible_chain_raises():
