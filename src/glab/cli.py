@@ -206,12 +206,15 @@ def _write_series(stream: TextIO, header: Optional[Sequence[str]], rows: Iterabl
     plus rows, LF endings, a lone LF when there is nothing else.
 
     Rows go out `_ROWS_PER_WRITE` at a time, each chunk formatted by one
-    `%` over its cells flattened into a tuple.  Each column of a chunk
-    takes its spec from the exact type set of its cells there: only
-    `int` is `%d`, only `float` is `%.17g` (a NaN or an infinity raises
-    ValueError), only `str` is `%s`; any other column (bools, numpy
-    scalars, mixed types) is formatted cell by cell with `_cell` and
-    written as `%s`.  The bytes are those of `_cell` on every cell.
+    `%` over its cells flattened into a tuple.  A 2-D ndarray of an
+    integer dtype (not bool) is a table: each chunk is a slice of it,
+    flattened by one `tolist()`, and every column is `%d`.  Any other
+    rows are chunked as they come, and each column of a chunk takes its
+    spec from the exact type set of its cells there: only `int` is `%d`,
+    only `float` is `%.17g` (a NaN or an infinity raises ValueError),
+    only `str` is `%s`; any other column (bools, numpy scalars, mixed
+    types) is formatted cell by cell with `_cell` and written as `%s`.
+    The bytes are those of `_cell` on every cell.
 
     Every row has the header's width, or without a header the first
     row's; a row of another width raises ValueError after every row
@@ -220,22 +223,31 @@ def _write_series(stream: TextIO, header: Optional[Sequence[str]], rows: Iterabl
     wrote = header is not None
     if wrote:
         stream.write(",".join(header) + "\n")
-    rows = iter(rows)
-    while True:
-        chunk = list(islice(rows, _ROWS_PER_WRITE))
-        if not chunk:
-            break
-        if width is None:
-            width = len(chunk[0])
-        bad = None
-        if set(map(len, chunk)) != {width}:
-            bad = next(i for i, row in enumerate(chunk) if len(row) != width)
-            del chunk[bad:]
-        if chunk:
-            _write_chunk(stream, chunk, width)
-            wrote = True
-        if bad is not None:
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and np.issubdtype(rows.dtype, np.integer):
+        if width is not None and rows.shape[1] != width:
             raise ValueError("rows must match the header width")
+        specs = ("%d",) * rows.shape[1]
+        for lo in range(0, len(rows), _ROWS_PER_WRITE):
+            part = rows[lo:lo + _ROWS_PER_WRITE]
+            _write_cells(stream, specs, len(part), tuple(part.ravel().tolist()))
+            wrote = True
+    else:
+        rows = iter(rows)
+        while True:
+            chunk = list(islice(rows, _ROWS_PER_WRITE))
+            if not chunk:
+                break
+            if width is None:
+                width = len(chunk[0])
+            bad = None
+            if set(map(len, chunk)) != {width}:
+                bad = next(i for i, row in enumerate(chunk) if len(row) != width)
+                del chunk[bad:]
+            if chunk:
+                _write_chunk(stream, chunk, width)
+                wrote = True
+            if bad is not None:
+                raise ValueError("rows must match the header width")
     if not wrote:
         stream.write("\n")
 
@@ -263,6 +275,12 @@ def _write_chunk(stream: TextIO, chunk: List[Sequence], width: int) -> None:
     if cells is not None:
         flat = tuple(cells)
         del cells  # one copy of the cells while formatting
+    _write_cells(stream, specs, count, flat)
+
+
+def _write_cells(stream: TextIO, specs: Sequence[str], count: int, flat: tuple) -> None:
+    """Write `count` rows of the flattened cells with one `%` of the
+    comma-joined column specs."""
     stream.write(((",".join(specs) + "\n") * count) % flat)
 
 
@@ -597,7 +615,11 @@ def _mixing_report(dist, eps: float, est: MlsEstimate, t_mix: int) -> dict:
 
 
 def _suite_mixing(model, dist, cfg, inst):
-    t_mix, tvs = _mixing_bracket(dist, 0.25)
+    try:
+        t_mix, tvs = _mixing_bracket(dist, 0.25)
+    except CapacityError as exc:
+        return [CheckReport("mixing-capacity", inst, 0.0, 0.0, 0.0, True,
+                            witness=f"skipped: {exc}")], {}, []
     est = mls_estimate(dist, restarts=min(8, max(2, cfg.batch)), seed=cfg.seed)
     report = _mixing_report(dist, 0.25, est, t_mix)
     lam_ratio = 2.0 * float(np.max(model.lam) / np.min(model.lam))
@@ -750,9 +772,13 @@ def sample_command(model_path, steps, seed, thin, init, out_path) -> None:
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 def mix_command(model_path, eps, seed) -> None:
     """Print the exact mixing time report for a model."""
-    dist = enumerate_gibbs(load_model(model_path))
+    try:
+        dist = enumerate_gibbs(load_model(model_path))
+        t_mix = mixing_time_exact(dist, eps)
+    except CapacityError as exc:
+        raise click.ClickException(str(exc)) from exc
     est = mls_estimate(dist, restarts=8, seed=seed)
-    click.echo(json_17g(_mixing_report(dist, eps, est, mixing_time_exact(dist, eps))))
+    click.echo(json_17g(_mixing_report(dist, eps, est, t_mix)))
 
 
 if __name__ == "__main__":

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -504,27 +503,34 @@ def _step_rows(
 # chain simulation from local conditionals
 
 
-# steps per draw batch, and rows per slice of ChainTrace.rows()
+# steps per draw batch
 _CHAIN_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
 class ChainTrace:
-    """Thinned trajectory of configuration indices (uint64), states[i] at
-    steps[i]."""
+    """Thinned trajectory as one C-contiguous (rows, 2) uint64 table:
+    row i is (steps[i], states[i]), the configuration index held after
+    that many steps."""
 
-    steps: np.ndarray
-    states: np.ndarray
+    table: np.ndarray
     seed: int
     start: int
     thin: int
 
-    def rows(self) -> Iterator[Tuple[int, int]]:
-        """(step, config_index) pairs as Python ints, one slice at a time."""
-        return chain.from_iterable(
-            zip(self.steps[lo:lo + _CHAIN_CHUNK].tolist(),
-                self.states[lo:lo + _CHAIN_CHUNK].tolist())
-            for lo in range(0, self.steps.size, _CHAIN_CHUNK))
+    @property
+    def steps(self) -> np.ndarray:
+        """Step numbers 0, thin, 2 thin, ... (a view of column 0)."""
+        return self.table[:, 0]
+
+    @property
+    def states(self) -> np.ndarray:
+        """Configuration indices (a view of column 1)."""
+        return self.table[:, 1]
+
+    def rows(self) -> np.ndarray:
+        """The (step, config_index) rows: the table itself, not a copy."""
+        return self.table
 
 
 def run_chain(
@@ -565,7 +571,10 @@ def run_chain(
     if not 0 <= state < (1 << n):
         raise ValueError("initial configuration out of range")
     start = state
-    kept = [np.array([state], dtype=np.uint64)]
+    table = np.empty((steps // thin + 1, 2), dtype=np.uint64)
+    table[:, 0] = np.arange(0, steps + 1, thin)
+    table[0, 1] = state
+    kept = 1
     done = 0
     while done < steps:
         take = min(_CHAIN_CHUNK, steps - done)
@@ -574,15 +583,11 @@ def run_chain(
         trail = step(state, sites, draws[:, 1].tolist())
         state = trail[-1]
         # trail[r] is the state after step done + r + 1
-        kept.append(np.array(trail[(-done - 1) % thin::thin], dtype=np.uint64))
+        picked = trail[(-done - 1) % thin::thin]
+        table[kept:kept + len(picked), 1] = picked
+        kept += len(picked)
         done += take
-    return ChainTrace(
-        steps=np.arange(0, steps + 1, thin, dtype=np.int64),
-        states=np.concatenate(kept),
-        seed=seed,
-        start=start,
-        thin=thin,
-    )
+    return ChainTrace(table=table, seed=seed, start=start, thin=thin)
 
 
 def _model_stepper(model: IsingModel):

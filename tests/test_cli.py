@@ -184,6 +184,76 @@ def test_emit_series_rejects_non_finite_like_oracle(series, bad, data):
             oracle_emit_series(Path(tmp) / "want.csv", header, rows)
 
 
+def test_emit_series_writes_chain_tables_as_the_oracle_bytes(tmp_path, monkeypatch):
+    import glab.cli as cli
+    from oracles import oracle_emit_series
+    from glab.glauber import run_chain
+
+    monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 3)
+    cycle64 = IsingModel(n=64, edges=cycle_edges(64), beta=0.6, lam=(2.0, 0.5) * 32)
+    wide = run_chain(cycle64, 2000, 5)
+    assert int(wide.states.max()) >= 1 << 63
+    traces = [run_chain(MODEL, 50, 4, init=init, thin=thin)
+              for thin in (1, 3, 10) for init in (None, 5)]
+    traces += [wide, run_chain(MODEL, 0, 4, init=6), run_chain(MODEL, 4, 4, thin=10)]
+    assert [len(t.rows()) for t in traces[-2:]] == [1, 1]
+    for idx, trace in enumerate(traces):
+        for head in (("step", "config_index"), None):
+            got, want = tmp_path / f"got{idx}.csv", tmp_path / f"want{idx}.csv"
+            emit_series(got, head, trace.rows())
+            oracle_emit_series(want, head, zip(trace.steps.tolist(), trace.states.tolist()))
+            assert got.read_bytes() == want.read_bytes()
+
+
+def test_emit_series_table_branch_takes_only_integer_tables(tmp_path, monkeypatch):
+    import glab.cli as cli
+    from oracles import oracle_emit_series
+
+    monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 3)
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError):
+        emit_series(path, ("a", "b", "c"), np.zeros((4, 2), dtype=np.uint64))
+    assert path.read_text() == "a,b,c\n"
+    gen = np.random.default_rng(3)
+    tables = [gen.integers(-(1 << 62), 1 << 62, size=(7, 3)),
+              gen.integers(-128, 128, size=(5, 2)).astype(np.int8),
+              gen.random((7, 2)) < 0.5,
+              gen.normal(size=(7, 3)),
+              np.zeros((0, 2), dtype=np.int64)]
+    for idx, table in enumerate(tables):
+        for head in (tuple(f"c{c}" for c in range(table.shape[1])), None):
+            got, want = tmp_path / f"got{idx}.csv", tmp_path / f"want{idx}.csv"
+            emit_series(got, head, table)
+            oracle_emit_series(want, head, table)
+            assert got.read_bytes() == want.read_bytes()
+
+
+class _RecordingStream:
+    """A text stream that keeps every write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def test_chain_table_is_written_in_bounded_chunks_without_a_copy():
+    import glab.cli as cli
+    from glab.glauber import run_chain
+
+    trace = run_chain(MODEL, 2 * cli._ROWS_PER_WRITE + 5, 4)
+    assert trace.rows() is trace.table
+    assert trace.table.flags.c_contiguous
+    assert np.shares_memory(trace.table, trace.steps)
+    assert np.shares_memory(trace.table, trace.states)
+    stream = _RecordingStream()
+    cli._write_series(stream, ("step", "config_index"), trace.rows())
+    assert stream.writes[0] == "step,config_index\n"
+    rows_per_write = [text.count("\n") for text in stream.writes[1:]]
+    assert rows_per_write == [cli._ROWS_PER_WRITE, cli._ROWS_PER_WRITE, 6]
+
+
 def test_level_rows_match_oracle(tmp_path):
     from oracles import oracle_emit_series, oracle_level_rows
 
@@ -368,6 +438,25 @@ def test_ktransform_suite_reports_capacity_skips(tmp_path, monkeypatch):
     assert body["payload"]["ks"] == []
 
 
+@pytest.mark.parametrize("budget", ["MIXING_STEP_BUDGET", "MIXING_BYTE_BUDGET"])
+def test_mixing_suite_reports_budget_skips(tmp_path, monkeypatch, budget):
+    import glab.glauber as gl
+
+    monkeypatch.setattr(gl, budget, 1)
+    path = tmp_path / "cycle5.json"
+    path.write_text(json.dumps(model_to_json(_cycle(5))))
+    out = tmp_path / "out"
+    result = run_suite(RunConfig(command="mixing", model_path=str(path), seed=7,
+                                 out_dir=str(out)))
+    assert result.passed
+    body = json.loads((out / "mixing.json").read_text())
+    assert [c["name"] for c in body["checks"]] == ["mixing-capacity"]
+    assert body["checks"][0]["pass"]
+    assert body["checks"][0]["witness"].startswith("skipped: ")
+    assert body["payload"] == {}
+    assert not (out / "mixing_scaling.csv").exists()
+
+
 def test_report_without_checks_fails(tmp_path, model_file, monkeypatch):
     import glab.cli as cli
 
@@ -462,6 +551,27 @@ def test_cli_mix_reports_required_keys(model_file):
         "mls_bound_optimistic", "mu_min",
     }
     assert body["t_mix_exact"] >= 1
+
+
+@pytest.mark.parametrize("limit, message", [
+    ("MIXING_STEP_BUDGET", "Error: mixing over 32 support states stopped after 0 steps"),
+    ("MIXING_BYTE_BUDGET", "Error: mixing over 32 support states needs"),
+    ("GLAB_CAPACITY", "Error: Ising weight table over 5 sites exceeds the exact limit of 4"),
+], ids=["step-budget", "byte-budget", "exact-limit"])
+def test_cli_mix_refused_by_a_limit_exits_with_one_line(tmp_path, monkeypatch, limit, message):
+    import glab.glauber as gl
+
+    if limit == "GLAB_CAPACITY":
+        monkeypatch.setenv(limit, "4")
+    else:
+        monkeypatch.setattr(gl, limit, 1)
+    path = tmp_path / "cycle5.json"
+    path.write_text(json.dumps(model_to_json(_cycle(5))))
+    out = CliRunner().invoke(main, ["mix", "--model", str(path)])
+    assert out.exit_code == 1
+    assert isinstance(out.exception, SystemExit)
+    lines = out.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message)
 
 
 def test_cli_version():

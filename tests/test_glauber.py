@@ -436,7 +436,7 @@ def test_chain_determinism_and_thinning():
     b = run_chain(model, 100, seed=3, thin=10)
     assert np.array_equal(a.states, b.states)
     assert list(a.steps) == list(range(0, 101, 10))
-    assert next(iter(a.rows())) == (0, 0)
+    assert a.rows()[0].tolist() == [0, 0]
 
 
 def test_chain_start_state():
