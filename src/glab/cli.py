@@ -469,15 +469,19 @@ def _suite_hf(model, dist, cfg, inst):
                 witness=None if abs(direct - formula) <= 1e-10 * max(abs(direct), abs(formula)) + 1e-12
                 else f"f[{idx}]",
             ))
-    ks = (2, 4, 8, 16) if n <= 3 else (2, 4, 8)
-    series_rows = lbf_convergence(dist, cfg.theta, fs[0], ks)
+    series_rows = []
+    for kk in (2, 4, 8, 16) if n <= 3 else (2, 4, 8):
+        try:
+            series_rows += lbf_convergence(dist, cfg.theta, fs[0], (kk,))
+        except CapacityError as exc:
+            checks.append(CheckReport(f"lbf-capacity-k{kk}", inst, 0.0, 0.0, 0.0, True,
+                                      witness=f"skipped: {exc}"))
     target = mbf_rhs(dist, cfg.theta, fs[0])
-    first_gap = series_rows[0][1]
-    last_gap = series_rows[-1][1]
-    if first_gap > 1e-12:
-        checks.append(CheckReport.le("lbf-gap-trend", inst, last_gap, first_gap))
+    if len(series_rows) > 1 and series_rows[0][1] > 1e-12:
+        checks.append(CheckReport.le("lbf-gap-trend", inst, series_rows[-1][1],
+                                     series_rows[0][1]))
     payload = {"k": k, "ells": ells, "mbf_rhs_target": target,
-               "lbf_ks": list(ks)}
+               "lbf_ks": [kk for kk, _ in series_rows]}
     series: Series = [("hf_lbf_gap", ("k", "gap"), [(kk, g) for kk, g in series_rows])]
     return checks, payload, series
 
@@ -737,7 +741,10 @@ def run_command(suite, model_path, seed, theta, delta, batch, out_dir) -> None:
     """Run a check suite and write JSON/CSV reports."""
     cfg = RunConfig(command=suite, model_path=model_path, seed=seed, theta=theta,
                     delta=delta, batch=batch, out_dir=out_dir)
-    result = run_suite(cfg)
+    try:
+        result = run_suite(cfg)
+    except CapacityError as exc:
+        raise click.ClickException(str(exc)) from exc
     for member, ok in (result.payload.get("suites") or {result.suite: result.passed}).items():
         click.echo(f"{member}: {'pass' if ok else 'FAIL'}")
     click.echo(f"reports in {out_dir}")

@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .capacity import BLOCK_PAIR_BUDGET, CapacityError, exact_limit
+from .capacity import BLOCK_PAIR_BUDGET, PMF_TABLE_BYTE_BUDGET, CapacityError, exact_limit
 from .exact import DenseDistribution, FunctionLike, _xlogx, as_values, entropy_functional
 from .transform import digit_outer_sum, feasible_lift
 
@@ -193,15 +193,37 @@ def hypergeo_pmf(spec: HyperGeoSpec, counts: Sequence[int]) -> float:
     return float(Fraction(num, math.comb(spec.n * spec.k, spec.ell)))
 
 
+def _hypergeo_rows(spec: HyperGeoSpec) -> int:
+    """Count vectors a in [0, k]^n with sum ell: the coefficient of x^ell
+    in (1 + x + ... + x^k)^n, by exact integer convolution truncated at
+    degree ell (each factor sums k + 1 neighbouring coefficients as a
+    difference of prefix sums)."""
+    k = spec.k
+    coeffs = [1] + [0] * spec.ell
+    for _ in range(spec.n):
+        prefix = list(itertools.accumulate(coeffs))
+        coeffs = prefix[:k + 1] + [a - b for a, b in zip(prefix[k + 1:], prefix)]
+    return coeffs[-1]
+
+
 def hypergeo_pmf_table(spec: HyperGeoSpec) -> Tuple[np.ndarray, np.ndarray]:
     """(support, probabilities): the count vectors a with sum ell and
     0 <= a_v <= k as rows, in lexicographic order, and their exact pmf
     values.
 
     The numerators prod_v C(k, a_v) are integers, so each value is one
-    correctly rounded integer division, as in hypergeo_pmf.
+    correctly rounded integer division, as in hypergeo_pmf.  Raises
+    CapacityError before building when the rows times the build's
+    10 (k + 1) + 110 bytes per row exceed PMF_TABLE_BYTE_BUDGET.
     """
     n, k = spec.n, spec.k
+    rows = _hypergeo_rows(spec)
+    need = rows * (10 * (k + 1) + 110)
+    if need > PMF_TABLE_BYTE_BUDGET:
+        raise CapacityError(
+            f"hypergeometric table of {rows} count vectors (n = {n}, k = {k}, "
+            f"ell = {spec.ell}) needs {need} bytes, above the budget of "
+            f"{PMF_TABLE_BYTE_BUDGET} bytes")
     support = np.zeros((1, 0), dtype=np.min_scalar_type(k))
     remaining = np.array([spec.ell])
     counts = np.arange(k + 1)

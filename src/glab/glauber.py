@@ -23,6 +23,7 @@ trivial group and steps every support row.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
@@ -407,8 +408,9 @@ def _mixing_bracket(dist: DenseDistribution, eps: float) -> Tuple[int, np.ndarra
     orbit gives the exact worst start.  When some step's TV lies within
     _ORBIT_MARGIN of eps, every support row is stepped instead, with the
     same transposed kernel.  Both runs step their rows in place, in
-    column blocks (see _step_rows), and are capped by a byte budget on
-    the live blocks and a step budget on the multiply-adds.
+    column blocks spread over one lane per CPU (see _step_rows), and are
+    capped by a byte budget of 16 m R bytes for the live blocks and a
+    step budget on the multiply-adds.
     """
     from scipy.sparse.csgraph import connected_components
 
@@ -427,9 +429,17 @@ def _mixing_bracket(dist: DenseDistribution, eps: float) -> Tuple[int, np.ndarra
     return t_mix, tvs
 
 
-# stepped rows per column block: each block steps between two (m, c)
-# buffers of its own, so no step allocates
+# most stepped rows per column block: each block steps between two
+# (m, c) buffers of its own, so no step allocates
 _STEP_COLUMNS = 128
+
+
+def _lane_count() -> int:
+    """CPUs this process may run on: one stepping lane each."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _step_rows(
@@ -438,35 +448,42 @@ def _step_rows(
     """Step the rows P^t(x,.) for x in rows until their worst TV to pi is
     at most eps: (t, worst TV at every step 0..t, least |TV - eps| seen).
 
-    step_op is the transposed kernel P^T in CSR form.  Column j of a
-    block holds P^t(x_j, .); one step zeroes the block's other buffer
-    and adds P^T times this one into it with scipy's csr_matvecs, the
-    kernel behind `step_op @ x`, and the block's TVs are read through one
-    shared (m, c) scratch buffer while it is still in cache.  Raises
-    CapacityError before allocating when the 8 m (2R + min(R, c)) bytes
-    of the blocks and scratch exceed MIXING_BYTE_BUDGET, and before the
+    step_op is the transposed kernel P^T in CSR form.  The R rows are
+    split into column blocks of at most _STEP_COLUMNS whose widths differ
+    by at most one, dealt out evenly to lanes, one per CPU the process
+    may run on and no more than there are blocks.  Column j of a block
+    holds P^t(x_j, .).  One step of a block zeroes its other buffer and
+    adds P^T times this one into it with scipy's csr_matvecs, the kernel
+    behind `step_op @ x`; the block's TVs are then read in the buffer
+    the step came from, which the block's next step zeroes.  Each step
+    maps the lanes over a thread pool (both kernels release the GIL);
+    with one lane no thread starts.  Every column is stepped and summed
+    in the same order at any width and lane count, so the results do not
+    depend on either.  Raises CapacityError before allocating when the
+    16 m R bytes of the blocks exceed MIXING_BYTE_BUDGET, and before the
     step whose multiply-adds, steps x R x nnz(P), would exceed
     MIXING_STEP_BUDGET.
     """
     from scipy.sparse._sparsetools import csr_matvecs
 
     m, r = tm.size, rows.size
-    width = min(r, _STEP_COLUMNS)
-    need = 8 * m * (2 * r + width)
+    need = 16 * m * r
     if need > MIXING_BYTE_BUDGET:
         raise CapacityError(
             f"mixing over {m} support states needs {need} bytes for {r} rows, "
             f"above the budget of {MIXING_BYTE_BUDGET} bytes")
     pi = tm.stationary[:, None]
-    blocks = []
-    for lo in range(0, r, width):
-        src = np.zeros((m, min(width, r - lo)))
-        src[rows[lo:lo + width], np.arange(src.shape[1])] = 1.0
-        blocks.append((src, np.empty_like(src)))
-    scratch = np.empty((m, width))
+    wanted = -(-r // _STEP_COLUMNS)
+    nlanes = min(_lane_count(), wanted)
+    nblocks = min(r, nlanes * -(-wanted // nlanes))
+    lanes: List[list] = [[] for _ in range(nlanes)]
+    for b in range(nblocks):
+        lo, hi = r * b // nblocks, r * (b + 1) // nblocks
+        src = np.zeros((m, hi - lo))
+        src[rows[lo:hi], np.arange(hi - lo)] = 1.0
+        lanes[b % nlanes].append((src, np.empty_like(src)))
 
-    def worst_sum(x: np.ndarray) -> float:
-        buf = scratch[:, :x.shape[1]]
+    def worst_sum(x: np.ndarray, buf: np.ndarray) -> float:
         np.subtract(x, pi, out=buf)
         np.abs(buf, out=buf)
         if buf.shape[1] == 1 and r > 1:
@@ -475,28 +492,40 @@ def _step_rows(
             return float(np.add.accumulate(buf, axis=0, out=buf)[-1, 0])
         return float(np.max(np.sum(buf, axis=0)))
 
-    tvs: List[float] = []
-    margin = math.inf
-    worst = max(worst_sum(src) for src, _ in blocks)
-    while True:
-        tv = 0.5 * worst
-        tvs.append(tv)
-        margin = min(margin, abs(tv - eps))
-        if tv <= eps:
-            return len(tvs) - 1, np.asarray(tvs), margin
-        if len(tvs) * r * step_op.nnz > MIXING_STEP_BUDGET:
-            raise CapacityError(
-                f"mixing over {m} support states stopped after {len(tvs) - 1} steps of "
-                f"{r} rows at TV {tv:.6g} > {eps}: one more step exceeds the budget of "
-                f"{MIXING_STEP_BUDGET} multiply-adds, {step_op.nnz} (the kernel's nonzeros) "
-                f"per row and step")
+    def step_lane(lane: list) -> float:
         worst = 0.0
-        for i, (src, dst) in enumerate(blocks):
+        for i, (src, dst) in enumerate(lane):
             dst.fill(0.0)
             csr_matvecs(m, m, src.shape[1], step_op.indptr, step_op.indices,
                         step_op.data, src.ravel(), dst.ravel())
-            blocks[i] = dst, src
-            worst = max(worst, worst_sum(dst))
+            lane[i] = dst, src
+            worst = max(worst, worst_sum(dst, src))
+        return worst
+
+    def run(step_all) -> Tuple[int, np.ndarray, float]:
+        tvs: List[float] = []
+        margin = math.inf
+        worst = max(worst_sum(src, dst) for lane in lanes for src, dst in lane)
+        while True:
+            tv = 0.5 * worst
+            tvs.append(tv)
+            margin = min(margin, abs(tv - eps))
+            if tv <= eps:
+                return len(tvs) - 1, np.asarray(tvs), margin
+            if len(tvs) * r * step_op.nnz > MIXING_STEP_BUDGET:
+                raise CapacityError(
+                    f"mixing over {m} support states stopped after {len(tvs) - 1} steps of "
+                    f"{r} rows at TV {tv:.6g} > {eps}: one more step exceeds the budget of "
+                    f"{MIXING_STEP_BUDGET} multiply-adds, {step_op.nnz} (the kernel's nonzeros) "
+                    f"per row and step")
+            worst = step_all()
+
+    if nlanes == 1:
+        return run(lambda: step_lane(lanes[0]))
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=nlanes) as pool:
+        return run(lambda: max(pool.map(step_lane, lanes)))
 
 
 # ---------------------------------------------------------------------------

@@ -339,6 +339,26 @@ def test_hf_suite_reports_budget_skips(tmp_path, model_file, monkeypatch):
     assert {"hf-identity-k2-ell-1", "hf-identity-k2-ell-6"} <= {c["name"] for c in checks}
 
 
+def test_hf_suite_reports_pmf_table_budget_skips(tmp_path, model_file, monkeypatch):
+    import glab.factorization as factorization
+
+    # the 3-cycle's lbf series builds tables of 7, 19, 61 and 217 count
+    # vectors at k = 2, 4, 8, 16; 61 * (10 * 9 + 110) bytes admit k = 8
+    monkeypatch.setattr(factorization, "PMF_TABLE_BYTE_BUDGET", 61 * 200)
+    result = run_suite(RunConfig(command="hf", model_path=model_file, seed=0,
+                                 out_dir=str(tmp_path / "out")))
+    assert result.passed
+    report = json.loads((tmp_path / "out" / "hf.json").read_text())
+    skipped = [c for c in report["checks"] if c.get("witness", "").startswith("skipped: ")]
+    assert [c["name"] for c in skipped] == ["lbf-capacity-k16"]
+    assert skipped[0]["pass"] is True
+    assert "217 count vectors" in skipped[0]["witness"]
+    assert "lbf-gap-trend" in {c["name"] for c in report["checks"]}
+    assert report["payload"]["lbf_ks"] == [2, 4, 8]
+    rows = (tmp_path / "out" / "hf_lbf_gap.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows] == ["k", "2", "4", "8"]
+
+
 def _cycle(n):
     return IsingModel(n=n, edges=cycle_edges(n), beta=0.6, lam=((2.0, 0.5) * n)[:n])
 
@@ -491,6 +511,21 @@ def test_cli_run_exit_codes(tmp_path, model_file):
     ])
     assert out.exit_code == 0, out.output
     assert "compare: pass" in out.output
+
+
+def test_cli_run_past_the_exact_limit_exits_with_one_line(tmp_path, monkeypatch):
+    monkeypatch.setenv("GLAB_CAPACITY", "4")
+    path = tmp_path / "cycle6.json"
+    path.write_text(json.dumps(model_to_json(_cycle(6))))
+    reports = tmp_path / "r"
+    out = CliRunner().invoke(main, ["run", "--suite", "compare", "--model", str(path),
+                                    "--out", str(reports)])
+    assert out.exit_code == 1
+    assert isinstance(out.exception, SystemExit)
+    assert out.output.splitlines() == [
+        "Error: Ising weight table over 6 sites exceeds the exact limit of 4; "
+        "set GLAB_CAPACITY to raise it"]
+    assert not reports.exists()
 
 
 def test_cli_sample_stdout_and_file(tmp_path, model_file):

@@ -133,6 +133,33 @@ def test_hypergeo_pmf_sums_to_one():
         assert float(probs.sum()) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_hypergeo_row_count_is_the_table_height():
+    for n in range(1, 6):
+        for k in range(1, 5):
+            for ell in range(n * k + 1):
+                spec = HyperGeoSpec(n=n, k=k, ell=ell)
+                assert factorization._hypergeo_rows(spec) == hypergeo_pmf_table(spec)[0].shape[0]
+    # the hf suite's k = 8 tables at ell = 4n, counted without building them
+    counts = [factorization._hypergeo_rows(HyperGeoSpec(n=n, k=8, ell=4 * n)) for n in (8, 9, 10)]
+    assert counts == [2306025, 19610233, 167729959]
+
+
+def test_hypergeo_pmf_table_budget(monkeypatch):
+    # 10 count vectors at n = k = ell = 3, 10 * 4 + 110 = 150 bytes each
+    spec = HyperGeoSpec(n=3, k=3, ell=3)
+    assert factorization._hypergeo_rows(spec) == 10
+    monkeypatch.setattr(factorization, "PMF_TABLE_BYTE_BUDGET", 1500)
+    assert hypergeo_pmf_table(spec)[0].shape == (10, 3)
+    monkeypatch.setattr(factorization, "PMF_TABLE_BYTE_BUDGET", 1499)
+    with pytest.raises(CapacityError, match="10 count vectors .* needs 1500 bytes"):
+        hypergeo_pmf_table(spec)
+    # the default budget admits the 9-cycle's k = 8 table and refuses the 10-cycle's
+    monkeypatch.undo()
+    for n, admitted in ((9, True), (10, False)):
+        rows = factorization._hypergeo_rows(HyperGeoSpec(n=n, k=8, ell=4 * n))
+        assert (rows * (10 * 9 + 110) <= factorization.PMF_TABLE_BYTE_BUDGET) == admitted
+
+
 def test_hypergeo_pmf_table_is_byte_identical_to_pmf():
     for n in range(1, 6):
         for k in range(1, 5):

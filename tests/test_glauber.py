@@ -312,19 +312,98 @@ def test_step_rows_in_blocks_matches_the_one_array_loop(d, full):
     _assert_steps_like_oracle(d, np.arange(d.support_indices.size)[::-1])
 
 
+def _alternating_cycle(n):
+    return enumerate_gibbs(IsingModel(n=n, edges=cycle_edges(n), beta=0.6,
+                                      lam=tuple((2.0, 0.5)[v % 2] for v in range(n))))
+
+
 @pytest.mark.parametrize("width", [lambda r: 1, lambda r: 3, lambda r: r - 1, lambda r: r + 1],
                          ids=["1", "3", "R-1", "R+1"])
 def test_step_rows_matches_the_one_array_loop_at_any_width(monkeypatch, width):
     import glab.glauber as gl
 
-    # the alternating 9-cycle has R = 272 orbits, not a multiple of 3;
-    # at width R - 1 its last block holds one column
-    d = enumerate_gibbs(IsingModel(n=9, edges=cycle_edges(9), beta=0.6,
-                                   lam=tuple((2.0, 0.5)[v % 2] for v in range(9))))
+    # the alternating 9-cycle has R = 272 orbits, not a multiple of 3:
+    # at width 3 the blocks are 2 or 3 columns wide, at width 1 every
+    # block is one column, and at width R + 1 there is one block
+    d = _alternating_cycle(9)
     rows = orbit_representatives(d)
     assert rows.size == 272
     monkeypatch.setattr(gl, "_STEP_COLUMNS", width(rows.size))
-    _assert_steps_like_oracle(d, rows)
+    for lanes in (1, 2, 3):
+        monkeypatch.setattr(gl, "_lane_count", lambda: lanes)
+        _assert_steps_like_oracle(d, rows)
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+def test_step_rows_matches_the_one_array_loop_on_every_row(monkeypatch, lanes):
+    import sys
+
+    import glab.glauber as gl
+
+    # the all-rows fallback of the uniform 6-cycle at its threshold eps:
+    # 64 rows in blocks of at most 5 columns, with the lanes switching
+    # threads as often as the interpreter allows
+    d = enumerate_gibbs(IsingModel(n=6, edges=cycle_edges(6), beta=0.6, lam=(1.0,) * 6))
+    eps = float(oracle_tv_profile(d, 5)[5])
+    monkeypatch.setattr(gl, "_STEP_COLUMNS", 5)
+    monkeypatch.setattr(gl, "_lane_count", lambda: lanes)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _assert_steps_like_oracle(d, np.arange(64), eps)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class _PoolSpy:
+    """Counts the thread pools _step_rows builds."""
+
+    def __init__(self, monkeypatch):
+        import concurrent.futures
+
+        self.built = 0
+        real = concurrent.futures.ThreadPoolExecutor
+
+        def build(*args, **kwargs):
+            self.built += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", build)
+
+
+def test_step_rows_leaves_no_thread_running(monkeypatch):
+    import threading
+
+    import glab.glauber as gl
+
+    d = _alternating_cycle(9)
+    tm = transition_matrix(d, validate=False)
+    step_op = tm.matrix.T.tocsr()
+    rows = orbit_representatives(d)
+    spy = _PoolSpy(monkeypatch)
+    monkeypatch.setattr(gl, "_STEP_COLUMNS", 16)
+    monkeypatch.setattr(gl, "_lane_count", lambda: 3)
+    before = threading.active_count()
+    assert gl._step_rows(tm, step_op, rows, 0.25)[0] == 26
+    assert threading.active_count() == before
+    # the step budget stops the run after 5 of its 26 steps
+    monkeypatch.setattr(gl, "MIXING_STEP_BUDGET", 6 * rows.size * step_op.nnz - 1)
+    with pytest.raises(CapacityError, match="stopped after 5 steps"):
+        gl._step_rows(tm, step_op, rows, 0.25)
+    assert threading.active_count() == before
+    assert spy.built == 2
+
+
+def test_step_rows_on_one_block_starts_no_thread(monkeypatch):
+    import glab.glauber as gl
+
+    # the alternating 8-cycle steps 30 orbit rows, one block
+    d = _alternating_cycle(8)
+    assert orbit_representatives(d).size == 30
+    spy = _PoolSpy(monkeypatch)
+    monkeypatch.setattr(gl, "_lane_count", lambda: 3)
+    assert mixing_time_exact(d, 0.25) == 25
+    assert spy.built == 0
 
 
 def test_mixing_step_budget(monkeypatch):
@@ -367,25 +446,27 @@ def test_mixing_falls_back_to_every_row_at_the_threshold(monkeypatch):
     monkeypatch.setattr(gl, "_step_rows", spy)
     assert mixing_time_exact(d, eps) == want_t
     assert calls == [8, 64]
-    # the fallback is held to the byte budget too: 3 * 8 * 64 * 8 bytes
-    # admit the orbit rows, not all 64
-    monkeypatch.setattr(gl, "MIXING_BYTE_BUDGET", 3 * 8 * 64 * 8)
-    with pytest.raises(CapacityError, match="64 support states needs 98304 bytes for 64 rows"):
+    # the fallback is held to the byte budget too: 16 * 64 * 8 bytes
+    # admit the 8 orbit rows, not all 64
+    monkeypatch.setattr(gl, "MIXING_BYTE_BUDGET", 16 * 64 * 8)
+    with pytest.raises(CapacityError, match="64 support states needs 65536 bytes for 64 rows"):
         mixing_time_exact(d, eps)
 
 
-def test_mixing_byte_budget_counts_one_scratch_block(monkeypatch):
+def test_mixing_byte_budget_counts_two_buffers_per_row(monkeypatch):
     import glab.glauber as gl
 
     d = random_gibbs(3, 63)
-    # 8 rows in blocks of 3: two 8 x 8 arrays and one 8 x 3 scratch
-    # buffer are 8 * 8 * (2 * 8 + 3) = 1216 bytes
+    # 8 rows in blocks of 3, each block stepping between two buffers of
+    # its own: 16 * 8 * 8 = 1024 bytes at any lane count
     monkeypatch.setattr(gl, "_STEP_COLUMNS", 3)
-    monkeypatch.setattr(gl, "MIXING_BYTE_BUDGET", 1216)
-    assert mixing_time_exact(d, 0.25) >= 1
-    monkeypatch.setattr(gl, "MIXING_BYTE_BUDGET", 1215)
-    with pytest.raises(CapacityError, match="8 support states needs 1216 bytes"):
-        mixing_time_exact(d, 0.25)
+    for lanes in (1, 2, 3):
+        monkeypatch.setattr(gl, "_lane_count", lambda: lanes)
+        monkeypatch.setattr(gl, "MIXING_BYTE_BUDGET", 1024)
+        assert mixing_time_exact(d, 0.25) >= 1
+        monkeypatch.setattr(gl, "MIXING_BYTE_BUDGET", 1023)
+        with pytest.raises(CapacityError, match="8 support states needs 1024 bytes"):
+            mixing_time_exact(d, 0.25)
 
 
 def test_mixing_reducible_chain_raises():
@@ -398,12 +479,12 @@ def test_mixing_support_cap(monkeypatch):
     import glab.glauber as gl
 
     d = random_gibbs(3, 63)
-    # a table of a model without symmetry steps all 8 support rows: three
-    # live 8 x 8 float64 arrays are 3 * 8 * 8 * 8 = 1536 bytes
-    monkeypatch.setattr(gl, "MIXING_BYTE_BUDGET", 1536)
+    # a table of a model without symmetry steps all 8 support rows: two
+    # live 8 x 8 float64 arrays are 2 * 8 * 8 * 8 = 1024 bytes
+    monkeypatch.setattr(gl, "MIXING_BYTE_BUDGET", 1024)
     assert mixing_time_exact(d, 0.25) >= 1
-    monkeypatch.setattr(gl, "MIXING_BYTE_BUDGET", 1535)
-    with pytest.raises(CapacityError, match="8 support states needs 1536 bytes"):
+    monkeypatch.setattr(gl, "MIXING_BYTE_BUDGET", 1023)
+    with pytest.raises(CapacityError, match="8 support states needs 1024 bytes"):
         mixing_time_exact(d, 0.25)
 
 

@@ -1,4 +1,5 @@
-"""scipy is imported where it is called, never at start-up.
+"""scipy and concurrent.futures are imported where they are called, never
+at start-up, and start-up starts no thread.
 
 Each check runs in a fresh interpreter: the test process itself has
 scipy loaded already (the test modules import it).
@@ -14,7 +15,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 SCRIPT = textwrap.dedent("""
-    import json, sys, tempfile
+    import json, sys, tempfile, threading
     from pathlib import Path
 
     def scipy_loaded():
@@ -24,7 +25,8 @@ SCRIPT = textwrap.dedent("""
     from click.testing import CliRunner
     from glab.model import IsingModel, cycle_edges, model_to_json
 
-    out = {"import": scipy_loaded()}
+    out = {"import": scipy_loaded(), "threads": threading.active_count(),
+           "futures": sorted(m for m in sys.modules if m.startswith("concurrent"))}
     model = IsingModel(n=4, edges=tuple(cycle_edges(4)), beta=0.6, lam=[2.0, 0.5, 2.0, 0.5])
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
@@ -56,6 +58,8 @@ def test_start_up_loads_no_scipy_and_callers_load_it_on_first_use():
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
     assert got["import"] == []
+    assert got["threads"] == 1
+    assert got["futures"] == []
     assert (got["sample_exit"], got["sample_lines"]) == (0, 202)
     assert got["sample"] == []
     # the 4-cycle of perfbench's mixing ladder mixes in 10 steps at eps 1/4
