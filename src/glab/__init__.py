@@ -13,7 +13,6 @@ from .capacity import CapacityError, exact_limit
 from .exact import (
     DenseDistribution,
     FieldAssignment,
-    FunctionTable,
     Pinning,
     condition,
     enumerate_gibbs,

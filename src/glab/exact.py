@@ -81,32 +81,12 @@ class DenseDistribution:
         return bool(np.all(self.prob > 0))
 
 
-@dataclass(frozen=True)
-class FunctionTable:
-    """Nonnegative test function on {-1,+1}^n, same indexing as the tables."""
-
-    n: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.shape != (1 << self.n,):
-            raise ValueError(f"values must have 2^{self.n} entries, got shape {vals.shape}")
-        if not np.all(np.isfinite(vals)) or np.any(vals < 0):
-            raise ValueError("function values must be finite and nonnegative")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-
-FunctionLike = Union[FunctionTable, np.ndarray, Sequence[float]]
+FunctionLike = Union[np.ndarray, Sequence[float]]
 
 
 def as_values(f: FunctionLike, n: int) -> np.ndarray:
-    """Coerce a function table or array to a validated value vector."""
-    if isinstance(f, FunctionTable):
-        if f.n != n:
-            raise ValueError(f"function is on {f.n} sites, expected {n}")
-        return f.values
+    """Coerce a function's values on {-1,+1}^n (same indexing as the
+    tables) to a validated value vector."""
     vals = np.asarray(f, dtype=np.float64)
     if vals.shape != (1 << n,):
         raise ValueError(f"values must have 2^{n} entries, got shape {vals.shape}")

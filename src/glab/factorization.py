@@ -242,11 +242,11 @@ def hypergeo_pmf_table(spec: HyperGeoSpec) -> Tuple[np.ndarray, np.ndarray]:
     return support, probs
 
 
-def hypergeo_sample(spec: HyperGeoSpec, seed: int, size: int, label: str = "hypergeo") -> np.ndarray:
+def hypergeo_sample(spec: HyperGeoSpec, seed: int, size: int) -> np.ndarray:
     """Draw count vectors bucket by bucket; shape (size, n)."""
     from .rng import derive_generator
 
-    gen = derive_generator(seed, label)
+    gen = derive_generator(seed, "hypergeo")
     out = np.zeros((size, spec.n), dtype=np.int64)
     remaining = np.full(size, spec.ell, dtype=np.int64)
     for v in range(spec.n):
@@ -501,7 +501,6 @@ def mbf_check(
     constant: float,
     fs: Sequence[FunctionLike],
     instance: str = "",
-    name: str = "magnetized-block-factorization",
 ) -> List[CheckReport]:
     """Ent[f] <= constant * mbf_rhs, one report per f."""
     out = []
@@ -509,7 +508,8 @@ def mbf_check(
         lhs = entropy_functional(dist, f)
         rhs = constant * mbf_rhs(dist, theta, f)
         witness = f"f[{idx}]" if lhs > rhs * (1.0 + DEFAULT_REL_SLACK) + DEFAULT_ABS_SLACK else None
-        out.append(CheckReport.le(name, instance, lhs, rhs, constant, witness=witness))
+        out.append(CheckReport.le("magnetized-block-factorization", instance, lhs, rhs, constant,
+                                  witness=witness))
     return out
 
 

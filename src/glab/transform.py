@@ -268,7 +268,7 @@ def _worst(gaps: np.ndarray) -> Tuple[float, Optional[tuple]]:
 
 
 def ktrans_influence_check(
-    tdist: TransformedDistribution, phi: np.ndarray, slack: float = 1e-9
+    tdist: TransformedDistribution, phi: np.ndarray
 ) -> InfluenceComparisonReport:
     """Compare influence matrices of the magnetized lift and base."""
     dist, k = tdist.base, tdist.k
@@ -289,7 +289,7 @@ def ktrans_influence_check(
     max_self, self_wit = _worst(self_gap)
     max_rowsum, rowsum_wit = _worst(rowsum)
 
-    passed = max(max_cross, max_self, max_rowsum) <= slack
+    passed = max(max_cross, max_self, max_rowsum) <= 1e-9
     return InfluenceComparisonReport(
         base_n=n,
         k=k,

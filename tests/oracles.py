@@ -200,7 +200,7 @@ def oracle_mixing_bracket(dist, eps, max_doublings=40):
     """
     from glab.glauber import transition_matrix
 
-    tm = transition_matrix(dist, validate=False)
+    tm = transition_matrix(dist)
     p_dense = tm.dense()
     ident = np.eye(tm.size)
     if stationary_distance_profile(tm, ident) <= eps:
@@ -251,7 +251,7 @@ def oracle_tv_profile(dist, t_max):
     kernel, one product per step."""
     from glab.glauber import transition_matrix
 
-    tm = transition_matrix(dist, validate=False)
+    tm = transition_matrix(dist)
     p_dense = tm.dense()
     mat = np.eye(tm.size)
     out = []
@@ -544,10 +544,23 @@ def oracle_run_chain(source, steps, seed, init=None, thin=1, label="glauber-chai
     return out_steps, out_states
 
 
-def oracle_emit_series(path, header, rows):
-    """The join-everything CSV writer: header line (if any) plus rows."""
-    from glab.cli import _cell
+def _oracle_cell(x):
+    """A cell as text: an int in decimal, a float to 17 significant
+    digits, a str as it is."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)) and not isinstance(x, (bool, np.bool_)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        if not math.isfinite(x):
+            raise ValueError("non-finite value cannot be serialized")
+        return format(float(x), ".17g")
+    raise TypeError(f"no text for a cell of type {type(x).__name__}")
 
+
+def oracle_emit_series(path, header, rows):
+    """The join-everything CSV writer: header line (if any) plus rows,
+    each cell formatted on its own."""
     lines = []
     if header is not None:
         lines.append(",".join(header))
@@ -557,7 +570,7 @@ def oracle_emit_series(path, header, rows):
             width = len(row)  # without a header the first row sets the width
         if len(row) != width:
             raise ValueError("rows must match the header width")
-        lines.append(",".join(_cell(x) for x in row))
+        lines.append(",".join(_oracle_cell(x) for x in row))
     path.write_text("\n".join(lines) + "\n", newline="\n")
     return str(path)
 

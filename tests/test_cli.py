@@ -63,15 +63,22 @@ def test_json_17g_round_trips_floats():
 
 def test_emit_series(tmp_path):
     path = tmp_path / "s.csv"
-    emit_series(path, ("k", "gap"), [(2, 0.5), (4, 1 / 3)])
+    emit_series(path, ("k", "gap"), [np.array([2, 4]), np.array([0.5, 1 / 3])])
     text = path.read_text()
     assert text == "k,gap\n2,0.5\n4,0.33333333333333331\n"
-    emit_series(path, ("k", "gap"), [])
+    emit_series(path, ("k", "gap"), [np.array([], dtype=np.int64), np.array([])])
     assert path.read_text() == "k,gap\n"
-    emit_series(path, None, [(1.0, 0.5), (0.25, 0.0)])
+    emit_series(path, None, np.array([[1.0, 0.5], [0.25, 0.0]]))
     assert path.read_text() == "1,0.5\n0.25,0\n"
+    emit_series(path, ("n", "face"), [np.array([3], dtype=np.uint8), ["0|2"]])
+    assert path.read_text() == "n,face\n3,0|2\n"
     with pytest.raises(ValueError):
-        emit_series(path, ("a",), [(1, 2)])
+        emit_series(path, ("a",), np.array([[1, 2]]))
+
+
+def _rows(table):
+    """The rows of a table in either form, cells as numpy scalars or str."""
+    return list(table) if isinstance(table, np.ndarray) else list(zip(*table))
 
 
 def test_emit_series_streams_the_oracle_bytes(tmp_path, monkeypatch):
@@ -79,18 +86,18 @@ def test_emit_series_streams_the_oracle_bytes(tmp_path, monkeypatch):
     from oracles import oracle_emit_series
 
     monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 4)
-    rows = [(k, k / 7, "x" if k % 2 else True, np.int64(-k)) for k in range(11)]
+    k = np.arange(11)
+    columns = [k, k / 7, ["x" if i % 2 else "y|z" for i in range(11)], -k.astype(np.int8)]
     header = ("k", "ratio", "tag", "neg")
-    cases = [(header, rows), (None, rows), (("k", "gap"), []), (None, [])]
-    for idx, (head, body) in enumerate(cases):
+    cases = [(header, columns), (None, columns), (("k", "gap"), np.zeros((0, 2))),
+             (None, []), (None, np.arange(33, dtype=np.uint16).reshape(11, 3))]
+    for idx, (head, table) in enumerate(cases):
         got, want = tmp_path / f"got{idx}.csv", tmp_path / f"want{idx}.csv"
-        emit_series(got, head, (row for row in body))
-        oracle_emit_series(want, head, body)
+        emit_series(got, head, table)
+        oracle_emit_series(want, head, _rows(table))
         assert got.read_bytes() == want.read_bytes()
     assert (tmp_path / "got2.csv").read_bytes() == b"k,gap\n"
     assert (tmp_path / "got3.csv").read_bytes() == b"\n"
-    with pytest.raises(ValueError):
-        emit_series(tmp_path / "bad.csv", ("a", "b"), iter([(1, 2)] * 9 + [(3,)]))
 
 
 def _homogenized(model):
@@ -110,78 +117,131 @@ def test_level_rows_csv(tmp_path):
     assert any("|" in line for line in lv[2:])
 
 
-def test_write_series_writes_every_row_before_a_bad_one(tmp_path, monkeypatch):
+class _RecordingStream:
+    """A text stream that keeps every write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def test_write_series_raises_before_the_first_write(monkeypatch):
     import glab.cli as cli
 
     monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 4)
+    late_nan = np.arange(11, dtype=np.float64)
+    late_nan[-1] = math.nan
+    bad = [
+        (("a", "b"), [np.arange(9), np.arange(10)]),  # unequal lengths
+        (("a", "b", "c"), [np.arange(9), np.arange(9)]),  # a header of another width
+        (("a", "b"), [np.arange(11), late_nan]),  # a NaN in the third chunk
+        (None, np.array([[1.0, 2.0], [3.0, math.inf]])),
+        (None, [np.arange(4), np.arange(8).reshape(4, 2)]),  # a column that is not 1-D
+        (None, np.arange(4)),  # a table array that is not 2-D
+    ]
+    for header, table in bad:
+        stream = _RecordingStream()
+        with pytest.raises(ValueError):
+            cli._write_series(stream, header, table)
+        assert stream.writes == []
+
+
+@pytest.mark.parametrize("column", [
+    np.array([True, False]),
+    np.array([1 + 2j, 3j]),
+    np.array([1, "a"], dtype=object),
+    np.array(["a", "b"]),
+    np.array(["2024-01-01", "2024-01-02"], dtype="datetime64[D]"),
+    [1, 2],
+    ["a", 2],
+    ("a", "b"),
+], ids=["bool", "complex", "object", "str-array", "datetime", "int-list", "mixed-list", "tuple"])
+def test_emit_series_refuses_other_columns(tmp_path, column):
     path = tmp_path / "bad.csv"
-    with pytest.raises(ValueError):
-        emit_series(path, ("a", "b"), iter([(k, 2) for k in range(9)] + [(3,), (4, 5)]))
-    assert path.read_text().splitlines() == ["a,b"] + [f"{k},2" for k in range(9)]
-    # without a header the first row sets the width
-    with pytest.raises(ValueError):
-        emit_series(path, None, [(1.5,), (2.5,), (1, 2)])
-    assert path.read_text() == "1.5\n2.5\n"
+    with pytest.raises(TypeError):
+        emit_series(path, ("k", "x"), [np.arange(2), column])
+    assert path.read_text() == ""
+    if isinstance(column, np.ndarray):
+        with pytest.raises(TypeError):
+            emit_series(path, None, column.reshape(1, 2))
+        assert path.read_text() == ""
 
 
-_INTS = st.one_of(st.integers(), st.integers(min_value=1 << 63, max_value=1 << 70),
-                  st.integers(max_value=-(1 << 63)))
 _FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                    st.sampled_from([-0.0, 0.0, 5e-324, 1e308, 1 / 3]))
+                    st.sampled_from([-0.0, 0.0, 5e-324, 1e308, -1e308, 1 / 3]))
+# (dtype, values) of each numeric column kind; uint64 reaches 2^63 and above
+_NUMERIC = [
+    (np.int64, st.integers(-(1 << 63), (1 << 63) - 1)),
+    (np.uint64, st.one_of(st.integers(1 << 63, (1 << 64) - 1), st.integers(0, (1 << 64) - 1))),
+    (np.float64, _FLOATS),
+]
 _STRS = st.text(alphabet="ab|%-.,e09 ", max_size=6)
-_MIXED = st.one_of(
-    _INTS, _FLOATS, _STRS, st.booleans(),
-    _FLOATS.map(np.float64), st.integers(-(1 << 63), (1 << 63) - 1).map(np.int64),
-    st.booleans().map(np.bool_),
-)
 
 
 @st.composite
 def _series(draw):
-    """(header or None, rows): each column all int, all float, all str or
-    mixed, so that every column spec is reached."""
+    """(header or None, table): a 2-D array of one numeric dtype, or
+    columns of any numeric dtype or str."""
     width = draw(st.integers(1, 4))
-    kinds = draw(st.lists(st.sampled_from([_INTS, _FLOATS, _STRS, _MIXED]),
-                          min_size=width, max_size=width))
-    rows = draw(st.lists(st.tuples(*kinds), max_size=12))
+    count = draw(st.integers(0, 12))
     header = draw(st.none() | st.just(tuple(f"c{c}" for c in range(width))))
-    return header, rows
+    if draw(st.booleans()):
+        dtype, values = draw(st.sampled_from(_NUMERIC))
+        cells = draw(st.lists(values, min_size=count * width, max_size=count * width))
+        return header, np.array(cells, dtype=dtype).reshape(count, width)
+    columns = []
+    for _ in range(width):
+        kind = draw(st.sampled_from(_NUMERIC + [(None, _STRS)]))
+        cells = draw(st.lists(kind[1], min_size=count, max_size=count))
+        columns.append(cells if kind[0] is None else np.array(cells, dtype=kind[0]))
+    return header, columns
 
 
 @settings(max_examples=200, deadline=None)
 @given(_series(), st.integers(1, 5))
-def test_emit_series_matches_oracle_on_any_cells(series, per_write):
+def test_emit_series_matches_oracle_on_typed_columns(series, per_write):
     import glab.cli as cli
     from oracles import oracle_emit_series
 
-    header, rows = series
+    header, table = series
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_ROWS_PER_WRITE", per_write)
         got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
-        emit_series(got, header, iter(rows))
-        oracle_emit_series(want, header, rows)
+        emit_series(got, header, table)
+        oracle_emit_series(want, header, _rows(table))
         assert got.read_bytes() == want.read_bytes()
 
 
 @settings(max_examples=50, deadline=None)
-@given(_series(), st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.nan)]),
-       st.data())
+@given(_series(), st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
 def test_emit_series_rejects_non_finite_like_oracle(series, bad, data):
     import glab.cli as cli
     from oracles import oracle_emit_series
 
-    header, rows = series
-    if not rows:
-        rows = [tuple(0.5 for _ in range(len(header) if header else 1))]
-    r = data.draw(st.integers(0, len(rows) - 1))
-    c = data.draw(st.integers(0, len(rows[r]) - 1))
-    rows[r] = rows[r][:c] + (bad,) + rows[r][c + 1:]
+    header, table = series
+    width = table.shape[1] if isinstance(table, np.ndarray) else len(table)
+    count = len(_rows(table))
+    if not count:
+        table = np.full((1, width), 0.5)
+        count = 1
+    r = data.draw(st.integers(0, count - 1))
+    c = data.draw(st.integers(0, width - 1))
+    if isinstance(table, np.ndarray):
+        table = table.astype(np.float64)
+        table[r, c] = bad
+    else:
+        table[c] = np.full(count, 0.5)
+        table[c][r] = bad
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_ROWS_PER_WRITE", 3)
+        got = Path(tmp) / "got.csv"
         with pytest.raises(ValueError):
-            emit_series(Path(tmp) / "got.csv", header, iter(rows))
+            emit_series(got, header, table)
+        assert got.read_text() == ""
         with pytest.raises(ValueError):
-            oracle_emit_series(Path(tmp) / "want.csv", header, rows)
+            oracle_emit_series(Path(tmp) / "want.csv", header, _rows(table))
 
 
 def test_emit_series_writes_chain_tables_as_the_oracle_bytes(tmp_path, monkeypatch):
@@ -205,20 +265,17 @@ def test_emit_series_writes_chain_tables_as_the_oracle_bytes(tmp_path, monkeypat
             assert got.read_bytes() == want.read_bytes()
 
 
-def test_emit_series_table_branch_takes_only_integer_tables(tmp_path, monkeypatch):
+def test_emit_series_writes_numeric_tables_as_the_oracle_bytes(tmp_path, monkeypatch):
     import glab.cli as cli
     from oracles import oracle_emit_series
 
     monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 3)
-    path = tmp_path / "bad.csv"
-    with pytest.raises(ValueError):
-        emit_series(path, ("a", "b", "c"), np.zeros((4, 2), dtype=np.uint64))
-    assert path.read_text() == "a,b,c\n"
     gen = np.random.default_rng(3)
     tables = [gen.integers(-(1 << 62), 1 << 62, size=(7, 3)),
               gen.integers(-128, 128, size=(5, 2)).astype(np.int8),
-              gen.random((7, 2)) < 0.5,
+              gen.integers(0, 1 << 64, size=(7, 2), dtype=np.uint64),
               gen.normal(size=(7, 3)),
+              gen.normal(size=(4, 4)).astype(np.float32),
               np.zeros((0, 2), dtype=np.int64)]
     for idx, table in enumerate(tables):
         for head in (tuple(f"c{c}" for c in range(table.shape[1])), None):
@@ -226,16 +283,6 @@ def test_emit_series_table_branch_takes_only_integer_tables(tmp_path, monkeypatc
             emit_series(got, head, table)
             oracle_emit_series(want, head, table)
             assert got.read_bytes() == want.read_bytes()
-
-
-class _RecordingStream:
-    """A text stream that keeps every write."""
-
-    def __init__(self):
-        self.writes = []
-
-    def write(self, text):
-        self.writes.append(text)
 
 
 def test_chain_table_is_written_in_bounded_chunks_without_a_copy():
@@ -301,12 +348,21 @@ def test_run_suite_writes_reports(tmp_path, model_file):
 
 def test_run_suite_reruns_byte_identical(tmp_path, model_file):
     for d in ("a", "b"):
-        cfg = RunConfig(command="compare", model_path=model_file, seed=11,
+        cfg = RunConfig(command="all", model_path=model_file, seed=11,
                         out_dir=str(tmp_path / d))
         run_suite(cfg)
-    a = (tmp_path / "a" / "compare.json").read_bytes()
-    b = (tmp_path / "b" / "compare.json").read_bytes()
-    assert a == b
+    names = sorted(path.name for path in (tmp_path / "a").iterdir()
+                   if not path.name.endswith("_meta.json"))
+    assert sorted(path.name for path in (tmp_path / "b").iterdir()
+                  if not path.name.endswith("_meta.json")) == names
+    assert {f"{suite}.json" for suite in SUITES + ("all",)} <= set(names)
+    # every series of every suite went through the writer
+    assert [name for name in names if name.endswith(".csv")] == sorted(
+        f"{name}.csv" for name in ("influence_matrix", "influence_spectrum", "hf_lbf_gap",
+                                   "walks_levels", "walks_kl", "dobrushin_matrix",
+                                   "mixing_scaling"))
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
 def test_mixing_suite_checks_powers_of_two_up_to_t_mix(tmp_path):
@@ -373,6 +429,20 @@ def test_influence_suite_runs_on_twelve_sites():
     assert [c.name for c in checks] == ["homogenized-correlation-spectrum"]
     assert checks[0].passed
     assert len(payload["homogenized_spectrum"]["correlation_spectrum"]) == 24
+
+
+def test_influence_spectrum_series_is_sorted_like_python():
+    import glab.cli as cli
+
+    for model in (MODEL, _cycle(6), IsingModel(n=4, edges=star_edges(4), beta=0.9,
+                                               lam=(2.0, 0.5, 1.0, 3.0))):
+        cfg = RunConfig(command="influence", model_path="", seed=7, batch=1)
+        _, _, series = cli._suite_influence(model, enumerate_gibbs(model), cfg, "x")
+        (_, _, inf_m), (name, _, (re, im)) = series
+        want = sorted(np.linalg.eigvals(inf_m).astype(complex).tolist(),
+                      key=lambda z: (-z.real, z.imag))
+        assert name == "influence_spectrum"
+        assert (re.tolist(), im.tolist()) == ([z.real for z in want], [z.imag for z in want])
 
 
 def test_walks_suite_skips_above_the_level_budget(monkeypatch):
@@ -526,6 +596,32 @@ def test_cli_run_past_the_exact_limit_exits_with_one_line(tmp_path, monkeypatch)
         "Error: Ising weight table over 6 sites exceeds the exact limit of 4; "
         "set GLAB_CAPACITY to raise it"]
     assert not reports.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["run", "--suite", "all", "--theta", "1.5"],
+     "Error: Invalid value for '--theta': 1.5 is not in the range 0<x<1."),
+    (["run", "--suite", "mbf", "--delta", "0"],
+     "Error: Invalid value for '--delta': 0.0 is not in the range 0<x<1."),
+    (["mix", "--eps", "2"], "Error: Invalid value for '--eps': 2.0 is not in the range 0<x<1."),
+    (["sample", "--steps", "3", "--init", "8"],
+     "Error: Invalid value for '--init': 8 is not below 2^3."),
+], ids=["theta", "delta", "eps", "init"])
+def test_cli_refuses_values_outside_their_domain(tmp_path, model_file, args, message):
+    outputs = {"run": ["--out", str(tmp_path / "r")], "sample": ["--out", str(tmp_path / "t.csv")]}
+    out = CliRunner().invoke(main, args + ["--model", model_file] + outputs.get(args[0], []))
+    assert out.exit_code == 2
+    assert isinstance(out.exception, SystemExit)
+    assert "Traceback" not in out.output
+    assert [line for line in out.output.splitlines() if line.startswith("Error")] == [message]
+    assert list(tmp_path.iterdir()) == [Path(model_file)]
+
+
+def test_cli_sample_takes_the_last_configuration_as_init(model_file):
+    out = CliRunner().invoke(main, ["sample", "--model", model_file, "--steps", "0",
+                                    "--init", "7"])
+    assert out.exit_code == 0, out.output
+    assert out.output == "step,config_index\n0,7\n"
 
 
 def test_cli_sample_stdout_and_file(tmp_path, model_file):

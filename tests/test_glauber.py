@@ -80,10 +80,11 @@ def test_transition_matches_oracle():
 def test_detailed_balance_random():
     for seed in range(6):
         d = random_gibbs(3, seed + 10)
-        tm = transition_matrix(d)  # validation runs inside
+        tm = transition_matrix(d)
         p = tm.dense()
         flow = tm.stationary[:, None] * p
         assert np.max(np.abs(flow - flow.T)) < 1e-12
+        assert np.max(np.abs(p.sum(axis=1) - 1.0)) < 1e-12
 
 
 def test_spectrum_real_and_bounded():
@@ -299,7 +300,7 @@ def test_mixing_orbit_route_matches_oracles(d, full):
 def _assert_steps_like_oracle(d, rows, eps=0.25):
     import glab.glauber as gl
 
-    tm = transition_matrix(d, validate=False)
+    tm = transition_matrix(d)
     t_mix, tvs, margin = gl._step_rows(tm, tm.matrix.T.tocsr(), rows, eps)
     want_t, want_tvs, want_margin = oracle_step_rows(tm, rows, eps)
     assert (t_mix, margin) == (want_t, want_margin)
@@ -377,7 +378,7 @@ def test_step_rows_leaves_no_thread_running(monkeypatch):
     import glab.glauber as gl
 
     d = _alternating_cycle(9)
-    tm = transition_matrix(d, validate=False)
+    tm = transition_matrix(d)
     step_op = tm.matrix.T.tocsr()
     rows = orbit_representatives(d)
     spy = _PoolSpy(monkeypatch)
