@@ -18,13 +18,10 @@ from .exact import (
     enumerate_gibbs,
     entropy_functional,
     flip,
-    kl_divergence,
     magnetize,
     magnetized_partition,
     marginal,
-    point_mass,
     total_variation,
-    uniform_distribution,
 )
 from .factorization import (
     CheckReport,
@@ -34,8 +31,6 @@ from .factorization import (
     hf_pair,
     hypergeo_concentration,
     hypergeo_concentration_check,
-    hypergeo_pmf,
-    hypergeo_sample,
     kappa,
     kappa_binomial,
     lbf_convergence,
@@ -70,7 +65,6 @@ from .model import (
     parse_model,
     path_edges,
     star_edges,
-    uniqueness_thresholds,
 )
 from .spectral import (
     correlation_matrix,

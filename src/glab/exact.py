@@ -14,7 +14,6 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .capacity import check_site_count
 from .model import IsingModel, log_weight_table
 
 _ATOL_SUM = 1e-12
@@ -169,32 +168,6 @@ def enumerate_gibbs(model: IsingModel) -> DenseDistribution:
     return DenseDistribution(model.n, w / total, log_partition=log_z, model=model)
 
 
-def distribution_from_weights(weights: Sequence[float]) -> DenseDistribution:
-    """Normalize a nonnegative weight vector of length 2^n."""
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or w.size == 0 or (w.size & (w.size - 1)) != 0:
-        raise ValueError("weights must have length 2^n")
-    n = w.size.bit_length() - 1
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise ValueError("weights must be finite and nonnegative")
-    total = float(np.sum(w))
-    if total <= 0:
-        raise ValueError("weights must have positive total mass")
-    return DenseDistribution(n, w / total)
-
-
-def uniform_distribution(n: int) -> DenseDistribution:
-    check_site_count(n, "uniform table")
-    size = 1 << n
-    return DenseDistribution(n, np.full(size, 1.0 / size))
-
-
-def point_mass(n: int, index: int) -> DenseDistribution:
-    p = np.zeros(1 << n)
-    p[index] = 1.0
-    return DenseDistribution(n, p)
-
-
 def condition(dist: DenseDistribution, pin: Pinning) -> DenseDistribution:
     """Condition on pinned spins; stays a table over all n sites."""
     if pin.sites and (not all(0 <= v < dist.n for v in pin.sites)):
@@ -291,13 +264,6 @@ def _kl(nu: np.ndarray, mu: np.ndarray) -> float:
     if np.any(mu[on] <= 0):
         raise ValueError("KL divergence needs support(nu) within support(mu)")
     return max(0.0, float(np.sum(nu[on] * (np.log(nu[on]) - np.log(mu[on])))))
-
-
-def kl_divergence(nu: DenseDistribution, mu: DenseDistribution) -> float:
-    """KL(nu || mu); requires support(nu) contained in support(mu)."""
-    if nu.n != mu.n:
-        raise ValueError("distributions must live on the same sites")
-    return _kl(nu.prob, mu.prob)
 
 
 def total_variation(a: DenseDistribution, b: DenseDistribution) -> float:

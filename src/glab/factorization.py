@@ -39,7 +39,13 @@ DEFAULT_ABS_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of a single inequality or identity check."""
+    """Outcome of a single inequality or identity check.
+
+    A witness names what made the check fail: `le` and `eq` keep the one
+    they are given only when the check fails, so a caller passes it
+    unconditionally.  A skipped check passes and keeps its reason as the
+    witness.
+    """
 
     name: str
     instance: str
@@ -47,44 +53,30 @@ class CheckReport:
     rhs: float
     constant: float
     passed: bool
-    witness: Optional[str] = None
-    rel_slack: float = DEFAULT_REL_SLACK
-    abs_slack: float = DEFAULT_ABS_SLACK
+    witness: Optional[str]
 
     @classmethod
-    def le(
-        cls,
-        name: str,
-        instance: str,
-        lhs: float,
-        rhs: float,
-        constant: float = 1.0,
-        witness: Optional[str] = None,
-        rel_slack: float = DEFAULT_REL_SLACK,
-        abs_slack: float = DEFAULT_ABS_SLACK,
-    ) -> "CheckReport":
+    def le(cls, name: str, instance: str, lhs: float, rhs: float, constant: float = 1.0,
+           witness: Optional[str] = None, rel_slack: float = DEFAULT_REL_SLACK,
+           abs_slack: float = DEFAULT_ABS_SLACK) -> "CheckReport":
         """lhs <= rhs up to relative and absolute slack."""
-        passed = lhs <= rhs * (1.0 + rel_slack) + abs_slack
-        return cls(name, instance, float(lhs), float(rhs), float(constant), bool(passed),
-                   witness, rel_slack, abs_slack)
+        passed = bool(lhs <= rhs * (1.0 + rel_slack) + abs_slack)
+        return cls(name, instance, float(lhs), float(rhs), float(constant), passed,
+                   None if passed else witness)
 
     @classmethod
-    def eq(
-        cls,
-        name: str,
-        instance: str,
-        lhs: float,
-        rhs: float,
-        constant: float = 1.0,
-        witness: Optional[str] = None,
-        rel_slack: float = DEFAULT_REL_SLACK,
-        abs_slack: float = DEFAULT_ABS_SLACK,
-    ) -> "CheckReport":
+    def eq(cls, name: str, instance: str, lhs: float, rhs: float, constant: float = 1.0,
+           witness: Optional[str] = None, rel_slack: float = DEFAULT_REL_SLACK,
+           abs_slack: float = DEFAULT_ABS_SLACK) -> "CheckReport":
         """|lhs - rhs| small relative to the larger magnitude."""
-        scale = max(abs(lhs), abs(rhs))
-        passed = abs(lhs - rhs) <= rel_slack * scale + abs_slack
-        return cls(name, instance, float(lhs), float(rhs), float(constant), bool(passed),
-                   witness, rel_slack, abs_slack)
+        passed = bool(abs(lhs - rhs) <= rel_slack * max(abs(lhs), abs(rhs)) + abs_slack)
+        return cls(name, instance, float(lhs), float(rhs), float(constant), passed,
+                   None if passed else witness)
+
+    @classmethod
+    def skipped(cls, name: str, instance: str, reason: str) -> "CheckReport":
+        """A check that did not run: it passes, with reason as its witness."""
+        return cls(name, instance, 0.0, 0.0, 0.0, True, reason)
 
     def to_json(self) -> dict:
         out = {
@@ -175,24 +167,6 @@ class HyperGeoSpec:
             raise ValueError(f"ell must lie in [0, nk], got {self.ell}")
 
 
-def hypergeo_pmf(spec: HyperGeoSpec, counts: Sequence[int]) -> float:
-    """Exact pmf value prod_v C(k, a_v) / C(nk, ell); zero off support."""
-    a = list(counts)
-    if len(a) != spec.n:
-        raise ValueError(f"need {spec.n} counts, got {len(a)}")
-    if any(int(x) != x for x in a):
-        raise ValueError("counts must be integers")
-    a = [int(x) for x in a]
-    if any(x < 0 for x in a):
-        raise ValueError("counts must be nonnegative")
-    if sum(a) != spec.ell or any(x > spec.k for x in a):
-        return 0.0
-    num = 1
-    for x in a:
-        num *= math.comb(spec.k, x)
-    return float(Fraction(num, math.comb(spec.n * spec.k, spec.ell)))
-
-
 def _hypergeo_rows(spec: HyperGeoSpec) -> int:
     """Count vectors a in [0, k]^n with sum ell: the coefficient of x^ell
     in (1 + x + ... + x^k)^n, by exact integer convolution truncated at
@@ -212,9 +186,9 @@ def hypergeo_pmf_table(spec: HyperGeoSpec) -> Tuple[np.ndarray, np.ndarray]:
     values.
 
     The numerators prod_v C(k, a_v) are integers, so each value is one
-    correctly rounded integer division, as in hypergeo_pmf.  Raises
-    CapacityError before building when the rows times the build's
-    10 (k + 1) + 110 bytes per row exceed PMF_TABLE_BYTE_BUDGET.
+    correctly rounded integer division.  Raises CapacityError before
+    building when the rows times the build's 10 (k + 1) + 110 bytes per
+    row exceed PMF_TABLE_BYTE_BUDGET.
     """
     n, k = spec.n, spec.k
     rows = _hypergeo_rows(spec)
@@ -240,24 +214,6 @@ def hypergeo_pmf_table(spec: HyperGeoSpec) -> Tuple[np.ndarray, np.ndarray]:
     denom = math.comb(n * k, spec.ell)
     probs = np.array([x / denom for x in num.tolist()], dtype=np.float64)
     return support, probs
-
-
-def hypergeo_sample(spec: HyperGeoSpec, seed: int, size: int) -> np.ndarray:
-    """Draw count vectors bucket by bucket; shape (size, n)."""
-    from .rng import derive_generator
-
-    gen = derive_generator(seed, "hypergeo")
-    out = np.zeros((size, spec.n), dtype=np.int64)
-    remaining = np.full(size, spec.ell, dtype=np.int64)
-    for v in range(spec.n):
-        nbad = spec.k * (spec.n - v - 1)
-        if nbad == 0:
-            draw = remaining.copy()
-        else:
-            draw = gen.hypergeometric(spec.k, nbad, remaining)
-        out[:, v] = draw
-        remaining = remaining - draw
-    return out
 
 
 def hypergeo_concentration(spec: HyperGeoSpec, v: int, eps: float) -> Tuple[float, float]:
@@ -433,8 +389,7 @@ def ubf_check(
     for idx, f in enumerate(fs):
         lhs = entropy_functional(dist, f)
         rhs = constant * ubf_average(dist, ell, f)
-        witness = f"f[{idx}]" if lhs > rhs * (1.0 + DEFAULT_REL_SLACK) + DEFAULT_ABS_SLACK else None
-        out.append(CheckReport.le(name, instance, lhs, rhs, constant, witness=witness))
+        out.append(CheckReport.le(name, instance, lhs, rhs, constant, witness=f"f[{idx}]"))
     return out
 
 
@@ -507,9 +462,8 @@ def mbf_check(
     for idx, f in enumerate(fs):
         lhs = entropy_functional(dist, f)
         rhs = constant * mbf_rhs(dist, theta, f)
-        witness = f"f[{idx}]" if lhs > rhs * (1.0 + DEFAULT_REL_SLACK) + DEFAULT_ABS_SLACK else None
         out.append(CheckReport.le("magnetized-block-factorization", instance, lhs, rhs, constant,
-                                  witness=witness))
+                                  witness=f"f[{idx}]"))
     return out
 
 

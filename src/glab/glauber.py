@@ -206,9 +206,6 @@ class MlsRestart:
     converged: bool
     rho: float
 
-    def to_json(self) -> dict:
-        return {"nit": self.nit, "converged": self.converged, "rho": self.rho}
-
 
 @dataclass(frozen=True)
 class MlsEstimate:
@@ -222,17 +219,6 @@ class MlsEstimate:
     minimizer: np.ndarray
     runs: Tuple[MlsRestart, ...]
     method: str = "multistart L-BFGS-B (upper bound)"
-
-    @property
-    def restarts(self) -> int:
-        return len(self.runs)
-
-    def to_json(self) -> dict:
-        return {
-            "rho_hat": self.rho_hat,
-            "restarts": self.restarts,
-            "method": self.method,
-        }
 
 
 # L-BFGS-B settings of every restart: tight enough that the search stops
@@ -702,73 +688,26 @@ def dobrushin_mls_check(
     name = "dobrushin-ratio-lower-bound"
     threshold = dobrushin_mls_threshold(dist)
     if threshold is None:
-        return [CheckReport(name, instance, 0.0, 0.0, 0.0, True,
-                            witness="not applicable: contraction norm >= 1")]
-    out = []
-    for idx, f in enumerate(fs):
-        lhs = threshold * entropy_functional(dist, f)
-        rhs = dirichlet_form(dist, f)
-        report = CheckReport.le(name, instance, lhs, rhs, threshold, abs_slack=1e-9)
-        if not report.passed:
-            report = CheckReport.le(name, instance, lhs, rhs, threshold,
-                                    witness=f"f[{idx}]", abs_slack=1e-9)
-        out.append(report)
-    return out
+        return [CheckReport.skipped(name, instance, "not applicable: contraction norm >= 1")]
+    return [CheckReport.le(name, instance, threshold * entropy_functional(dist, f),
+                           dirichlet_form(dist, f), threshold, witness=f"f[{idx}]",
+                           abs_slack=1e-9)
+            for idx, f in enumerate(fs)]
 
 
 # ---------------------------------------------------------------------------
 # end-to-end verification of the extreme-field bounds
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Marginal, contraction, and support-size bounds for a model.
-
-    The checked distribution is the base model magnetized by the extreme
-    field 1/500 raised to the sign of each site's field direction; the
-    hypothesis constant C is the worst of min(lambda, 1/lambda) over the
-    original fields.
-    """
-
-    n: int
-    delta: float
-    effective_degree: int
-    in_interior: bool
-    lambda_extremes_ok: bool
-    c_hypothesis: float
-    alpha: float
-    alpha_bound: float
-    dobrushin_worst_norm: float
-    dobrushin_bound: float
-    mu_min: float
-    mu_min_bound: float
-    checks: Tuple[CheckReport, ...]
-    passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "delta": self.delta,
-            "effective_degree": self.effective_degree,
-            "in_interior": self.in_interior,
-            "lambda_extremes_ok": self.lambda_extremes_ok,
-            "c_hypothesis": self.c_hypothesis,
-            "alpha": self.alpha,
-            "alpha_bound": self.alpha_bound,
-            "dobrushin_worst_norm": self.dobrushin_worst_norm,
-            "dobrushin_bound": self.dobrushin_bound,
-            "mu_min": self.mu_min,
-            "mu_min_bound": self.mu_min_bound,
-            "checks": [c.to_json() for c in self.checks],
-            "pass": self.passed,
-        }
-
-
-def verification_bounds_check(model: IsingModel, delta: float, instance: str = "") -> VerificationReport:
+def verification_bounds_check(
+    model: IsingModel, delta: float, instance: str = "",
+) -> Tuple[List[CheckReport], dict]:
     """Verify the three numeric bounds behind the extreme-field analysis.
 
-    (1) every conditional marginal of the extreme-field model is at least
-        C / 20000, with C the worst of min(lambda, 1/lambda);
+    (1) every conditional marginal of the extreme-field model (the base
+        model magnetized by the field 1/500 raised to the sign of each
+        site's field direction) is at least C / 20000, with C the worst
+        of min(lambda, 1/lambda);
     (2) the Dobrushin matrix of every pinned sub-instance has one- and
         inf-norm at most 3/5;
     (3) the base model's smallest probability is at least
@@ -779,6 +718,9 @@ def verification_bounds_check(model: IsingModel, delta: float, instance: str = "
     matrix is entrywise at most the unpinned one restricted to the free
     sites, and its norms are at most the unpinned norms.  The empty
     pinning attains them.  marginal_lower_bound rests on the same fact.
+
+    Returns the three checks and the report payload: the bounds and the
+    values they are checked against, and "pass" when all three hold.
     """
     from .exact import enumerate_gibbs
     from .model import in_delta_interior
@@ -807,30 +749,29 @@ def verification_bounds_check(model: IsingModel, delta: float, instance: str = "
     mu_min = base.min_support_prob
     mu_min_bound = (lam_min / (14000.0 * lam_max)) ** n
 
-    checks = (
+    checks = [
         CheckReport.le("extreme-field-marginal-lower-bound", instance,
                        alpha_bound, alpha, constant=2e4),
         CheckReport.le("pinned-dobrushin-norms", instance, worst_norm, 3.0 / 5.0,
                        constant=3.0 / 5.0),
         CheckReport.le("support-minimum-probability", instance, mu_min_bound, mu_min,
                        constant=14000.0),
-    )
-    return VerificationReport(
-        n=n,
-        delta=delta,
-        effective_degree=deg_eff,
-        in_interior=interior,
-        lambda_extremes_ok=extremes_ok,
-        c_hypothesis=c_hyp,
-        alpha=alpha,
-        alpha_bound=alpha_bound,
-        dobrushin_worst_norm=worst_norm,
-        dobrushin_bound=3.0 / 5.0,
-        mu_min=mu_min,
-        mu_min_bound=mu_min_bound,
-        checks=checks,
-        passed=all(c.passed for c in checks),
-    )
+    ]
+    return checks, {
+        "n": n,
+        "delta": delta,
+        "effective_degree": deg_eff,
+        "in_interior": interior,
+        "lambda_extremes_ok": extremes_ok,
+        "c_hypothesis": c_hyp,
+        "alpha": alpha,
+        "alpha_bound": alpha_bound,
+        "dobrushin_worst_norm": worst_norm,
+        "dobrushin_bound": 3.0 / 5.0,
+        "mu_min": mu_min,
+        "mu_min_bound": mu_min_bound,
+        "pass": all(c.passed for c in checks),
+    }
 
 
 # ---------------------------------------------------------------------------

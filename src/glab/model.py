@@ -116,14 +116,6 @@ def config_index(spins: Sequence[int]) -> int:
     return out
 
 
-def spins_from_index(index: int, n: int) -> np.ndarray:
-    """Inverse of config_index."""
-    if not 0 <= index < (1 << n):
-        raise ValueError(f"index {index} out of range for {n} sites")
-    bits = (index >> np.arange(n)) & 1
-    return (2 * bits - 1).astype(np.int64)
-
-
 # Graph constructors used throughout the test batteries.
 
 def path_edges(n: int) -> List[Edge]:
@@ -145,13 +137,6 @@ def star_edges(n: int) -> List[Edge]:
 
 def complete_edges(n: int) -> List[Edge]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-def uniqueness_thresholds(max_degree: int) -> Tuple[float, float]:
-    """Antiferro/ferro uniqueness thresholds ((D-2)/D, D/(D-2)) for D >= 3."""
-    if max_degree < 3:
-        raise ValueError(f"thresholds are defined for max degree >= 3, got {max_degree}")
-    return (max_degree - 2) / max_degree, max_degree / (max_degree - 2)
 
 
 def delta_interior(max_degree: int, delta: float) -> Tuple[float, float]:

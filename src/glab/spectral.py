@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -161,35 +161,14 @@ def dobrushin_matrix(dist: DenseDistribution) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class MatrixReport:
-    """Norms and spectrum summary of a real square matrix."""
-
-    label: str
-    inf_norm: float
-    one_norm: float
-    two_norm_upper: float
-    max_real_eig: Optional[float]
-    real_eigs: Tuple[float, ...]
-    complex_eigs: Tuple[complex, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "inf_norm": self.inf_norm,
-            "one_norm": self.one_norm,
-            "two_norm_upper": self.two_norm_upper,
-            "max_real_eig": self.max_real_eig,
-            "real_eigs": list(self.real_eigs),
-            "complex_eigs": [[z.real, z.imag] for z in self.complex_eigs],
-        }
-
-
-def matrix_report(matrix: np.ndarray, label: str = "") -> MatrixReport:
-    """Norm and eigenvalue summary.
+def matrix_report(matrix: np.ndarray, label: str) -> dict:
+    """Norm and eigenvalue summary of a real square matrix: its inf- and
+    one-norms, their geometric mean (an upper bound on the two-norm) and
+    its eigenvalues.
 
     Eigenvalues with |imag| > 1e-8 * (1 + |real|) are excluded from
-    max_real_eig and reported separately.
+    max_real_eig and real_eigs (largest first) and reported as
+    [real, imag] pairs in complex_eigs.
     """
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -198,17 +177,16 @@ def matrix_report(matrix: np.ndarray, label: str = "") -> MatrixReport:
     one_norm = float(np.max(np.sum(np.abs(m), axis=0))) if m.size else 0.0
     eigs = np.linalg.eigvals(m) if m.size else np.array([])
     real_mask = np.abs(eigs.imag) <= 1e-8 * (1.0 + np.abs(eigs.real))
-    real_eigs = tuple(sorted((float(x) for x in eigs.real[real_mask]), reverse=True))
-    complex_eigs = tuple(complex(z) for z in eigs[~real_mask])
-    return MatrixReport(
-        label=label,
-        inf_norm=inf_norm,
-        one_norm=one_norm,
-        two_norm_upper=math.sqrt(inf_norm * one_norm),
-        max_real_eig=real_eigs[0] if real_eigs else None,
-        real_eigs=real_eigs,
-        complex_eigs=complex_eigs,
-    )
+    real_eigs = sorted((float(x) for x in eigs.real[real_mask]), reverse=True)
+    return {
+        "label": label,
+        "inf_norm": inf_norm,
+        "one_norm": one_norm,
+        "two_norm_upper": math.sqrt(inf_norm * one_norm),
+        "max_real_eig": real_eigs[0] if real_eigs else None,
+        "real_eigs": real_eigs,
+        "complex_eigs": [[float(z.real), float(z.imag)] for z in eigs[~real_mask]],
+    }
 
 
 # The range of every sampled field value, and the most field vectors one
@@ -234,29 +212,6 @@ class FieldSamplerConfig:
         return np.geomspace(FIELD_LO, FIELD_HI, self.grid_points)
 
 
-@dataclass(frozen=True)
-class SupEstimate:
-    """Sampled-field maximum of the influence inf-norm.
-
-    This is a LOWER bound on the supremum over all fields: only the
-    recorded field vectors were evaluated.
-    """
-
-    value: float
-    maximizing_field: Tuple[float, ...]
-    fields_evaluated: int
-    note: str = "lower bound on the all-fields supremum (sampled fields only)"
-
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "norm": "inf_norm",
-            "maximizing_field": list(self.maximizing_field),
-            "fields_evaluated": self.fields_evaluated,
-            "note": self.note,
-        }
-
-
 def _sampled_fields(config: FieldSamplerConfig, n: int) -> np.ndarray:
     """The (F, n) field vectors: the product grid in itertools.product
     order, then the seeded log-uniform draws."""
@@ -274,12 +229,13 @@ def _sampled_fields(config: FieldSamplerConfig, n: int) -> np.ndarray:
 
 def si_sup_estimate(
     dist: DenseDistribution, config: FieldSamplerConfig = FieldSamplerConfig()
-) -> SupEstimate:
+) -> dict:
     """Maximize the influence inf-norm over sampled field vectors.
 
     Every field's influence matrix comes from one batch of tilted support
     weights (_site_moments); the maximizer is the first field reaching
-    the maximum, in sampling order.
+    the maximum, in sampling order.  The value is a LOWER bound on the
+    supremum over all fields: only the sampled fields were evaluated.
     """
     n = dist.n
     total = config.grid_points ** n + config.random_draws
@@ -292,9 +248,13 @@ def si_sup_estimate(
     values = np.concatenate([np.max(np.sum(np.abs(_influence(m)), axis=2), axis=1)
                              for m in _site_moments(_support_law(dist), np.log(fields))])
     best = int(np.argmax(values))
-    return SupEstimate(value=float(values[best]),
-                       maximizing_field=tuple(float(x) for x in fields[best]),
-                       fields_evaluated=int(values.size))
+    return {
+        "value": float(values[best]),
+        "norm": "inf_norm",
+        "maximizing_field": [float(x) for x in fields[best]],
+        "fields_evaluated": int(values.size),
+        "note": "lower bound on the all-fields supremum (sampled fields only)",
+    }
 
 
 def homogenize(dist: DenseDistribution) -> SupportLaw:

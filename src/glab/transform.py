@@ -183,40 +183,6 @@ def bucket_field_average(phi: np.ndarray) -> np.ndarray:
     return np.asarray([math.fsum(row) / k for row in phi])
 
 
-@dataclass(frozen=True)
-class InfluenceComparisonReport:
-    """Entrywise and row-sum comparison of lifted vs base influence.
-
-    For fields phi on the copies, the influence matrix of the magnetized
-    lift is dominated entrywise by the base influence of the bucket-mean
-    magnetization, weighted by the field share of the target copy, and
-    its row sums exceed the base row sums by at most 1.
-    """
-
-    base_n: int
-    k: int
-    max_cross_violation: float
-    max_self_violation: float
-    max_rowsum_violation: float
-    cross_witness: Optional[Tuple[int, int, int, int]]
-    self_witness: Optional[Tuple[int, int, int]]
-    rowsum_witness: Optional[Tuple[int, int]]
-    passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "base_n": self.base_n,
-            "k": self.k,
-            "max_cross_violation": self.max_cross_violation,
-            "max_self_violation": self.max_self_violation,
-            "max_rowsum_violation": self.max_rowsum_violation,
-            "cross_witness": list(self.cross_witness) if self.cross_witness else None,
-            "self_witness": list(self.self_witness) if self.self_witness else None,
-            "rowsum_witness": list(self.rowsum_witness) if self.rowsum_witness else None,
-            "pass": self.passed,
-        }
-
-
 def _lifted_influence(tdist: TransformedDistribution, phi: np.ndarray) -> np.ndarray:
     """Signed influence matrix of the lift magnetized by the copy fields phi.
 
@@ -267,10 +233,16 @@ def _worst(gaps: np.ndarray) -> Tuple[float, Optional[tuple]]:
     return top, tuple(int(x) for x in np.unravel_index(at, gaps.shape))
 
 
-def ktrans_influence_check(
-    tdist: TransformedDistribution, phi: np.ndarray
-) -> InfluenceComparisonReport:
-    """Compare influence matrices of the magnetized lift and base."""
+def ktrans_influence_check(tdist: TransformedDistribution, phi: np.ndarray) -> dict:
+    """Compare influence matrices of the magnetized lift and base.
+
+    For fields phi on the copies, the influence matrix of the magnetized
+    lift is dominated entrywise by the base influence of the bucket-mean
+    magnetization, weighted by the field share of the target copy, and
+    its row sums exceed the base row sums by at most 1.  Returns the
+    largest excess of each family (see _violation_gaps), the index where
+    it occurs, and "pass" when none exceeds 1e-9.
+    """
     dist, k = tdist.base, tdist.k
     phi = np.asarray(phi, dtype=np.float64)
     if phi.shape != (dist.n, k):
@@ -289,15 +261,14 @@ def ktrans_influence_check(
     max_self, self_wit = _worst(self_gap)
     max_rowsum, rowsum_wit = _worst(rowsum)
 
-    passed = max(max_cross, max_self, max_rowsum) <= 1e-9
-    return InfluenceComparisonReport(
-        base_n=n,
-        k=k,
-        max_cross_violation=max_cross,
-        max_self_violation=max_self,
-        max_rowsum_violation=max_rowsum,
-        cross_witness=cross_wit,
-        self_witness=self_wit,
-        rowsum_witness=rowsum_wit,
-        passed=passed,
-    )
+    return {
+        "base_n": n,
+        "k": k,
+        "max_cross_violation": max_cross,
+        "max_self_violation": max_self,
+        "max_rowsum_violation": max_rowsum,
+        "cross_witness": cross_wit,
+        "self_witness": self_wit,
+        "rowsum_witness": rowsum_wit,
+        "pass": max(max_cross, max_self, max_rowsum) <= 1e-9,
+    }

@@ -102,7 +102,7 @@ def oracle_si_sup_estimate(dist, config):
 
     from glab.exact import FieldAssignment, magnetize
     from glab.rng import derive_generator
-    from glab.spectral import FIELD_HI, FIELD_LO, SupEstimate
+    from glab.spectral import FIELD_HI, FIELD_LO
 
     def evaluate(phi):
         m = oracle_influence(magnetize(dist, FieldAssignment.full(phi)))
@@ -121,7 +121,9 @@ def oracle_si_sup_estimate(dist, config):
         pairs.append((tuple(float(x) for x in phi), val))
         if val > best:
             best, best_phi = val, pairs[-1][0]
-    est = SupEstimate(value=best, maximizing_field=best_phi, fields_evaluated=len(pairs))
+    est = {"value": best, "norm": "inf_norm", "maximizing_field": list(best_phi),
+           "fields_evaluated": len(pairs),
+           "note": "lower bound on the all-fields supremum (sampled fields only)"}
     return est, pairs
 
 
@@ -657,3 +659,102 @@ def oracle_mls_estimate_bfgs(dist, restarts=32, seed=0, label="mls-estimate"):
     full = np.ones(dist.prob.size)
     full[support] = f
     return best_val, full
+
+
+# ---------------------------------------------------------------------------
+# tables, laws and conversions that only the tests use
+
+
+def distribution_from_weights(weights):
+    """Normalize a nonnegative weight vector of length 2^n."""
+    from glab.exact import DenseDistribution
+
+    w = np.asarray(weights, dtype=np.float64)
+    if w.ndim != 1 or w.size == 0 or (w.size & (w.size - 1)) != 0:
+        raise ValueError("weights must have length 2^n")
+    n = w.size.bit_length() - 1
+    if not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise ValueError("weights must be finite and nonnegative")
+    total = float(np.sum(w))
+    if total <= 0:
+        raise ValueError("weights must have positive total mass")
+    return DenseDistribution(n, w / total)
+
+
+def uniform_distribution(n):
+    from glab.capacity import check_site_count
+    from glab.exact import DenseDistribution
+
+    check_site_count(n, "uniform table")
+    size = 1 << n
+    return DenseDistribution(n, np.full(size, 1.0 / size))
+
+
+def point_mass(n, index):
+    from glab.exact import DenseDistribution
+
+    p = np.zeros(1 << n)
+    p[index] = 1.0
+    return DenseDistribution(n, p)
+
+
+def kl_divergence(nu, mu):
+    """KL(nu || mu); requires support(nu) contained in support(mu)."""
+    from glab.exact import _kl
+
+    if nu.n != mu.n:
+        raise ValueError("distributions must live on the same sites")
+    return _kl(nu.prob, mu.prob)
+
+
+def hypergeo_pmf(spec, counts):
+    """Exact pmf value prod_v C(k, a_v) / C(nk, ell); zero off support."""
+    from fractions import Fraction
+
+    a = list(counts)
+    if len(a) != spec.n:
+        raise ValueError(f"need {spec.n} counts, got {len(a)}")
+    if any(int(x) != x for x in a):
+        raise ValueError("counts must be integers")
+    a = [int(x) for x in a]
+    if any(x < 0 for x in a):
+        raise ValueError("counts must be nonnegative")
+    if sum(a) != spec.ell or any(x > spec.k for x in a):
+        return 0.0
+    num = 1
+    for x in a:
+        num *= math.comb(spec.k, x)
+    return float(Fraction(num, math.comb(spec.n * spec.k, spec.ell)))
+
+
+def hypergeo_sample(spec, seed, size):
+    """Draw count vectors bucket by bucket; shape (size, n)."""
+    from glab.rng import derive_generator
+
+    gen = derive_generator(seed, "hypergeo")
+    out = np.zeros((size, spec.n), dtype=np.int64)
+    remaining = np.full(size, spec.ell, dtype=np.int64)
+    for v in range(spec.n):
+        nbad = spec.k * (spec.n - v - 1)
+        if nbad == 0:
+            draw = remaining.copy()
+        else:
+            draw = gen.hypergeometric(spec.k, nbad, remaining)
+        out[:, v] = draw
+        remaining = remaining - draw
+    return out
+
+
+def spins_from_index(index, n):
+    """Inverse of config_index."""
+    if not 0 <= index < (1 << n):
+        raise ValueError(f"index {index} out of range for {n} sites")
+    bits = (index >> np.arange(n)) & 1
+    return (2 * bits - 1).astype(np.int64)
+
+
+def uniqueness_thresholds(max_degree):
+    """Antiferro/ferro uniqueness thresholds ((D-2)/D, D/(D-2)) for D >= 3."""
+    if max_degree < 3:
+        raise ValueError(f"thresholds are defined for max degree >= 3, got {max_degree}")
+    return (max_degree - 2) / max_degree, max_degree / (max_degree - 2)

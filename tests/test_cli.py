@@ -159,14 +159,17 @@ def test_write_series_raises_before_the_first_write(monkeypatch):
     ("a", "b"),
 ], ids=["bool", "complex", "object", "str-array", "datetime", "int-list", "mixed-list", "tuple"])
 def test_emit_series_refuses_other_columns(tmp_path, column):
+    # a refused series raises before the file is opened: no file is made,
+    # and an existing one keeps its bytes
     path = tmp_path / "bad.csv"
     with pytest.raises(TypeError):
         emit_series(path, ("k", "x"), [np.arange(2), column])
-    assert path.read_text() == ""
+    assert not path.exists()
     if isinstance(column, np.ndarray):
+        path.write_bytes(b"k,x\n0,1\n")
         with pytest.raises(TypeError):
             emit_series(path, None, column.reshape(1, 2))
-        assert path.read_text() == ""
+        assert path.read_bytes() == b"k,x\n0,1\n"
 
 
 _FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
@@ -239,7 +242,7 @@ def test_emit_series_rejects_non_finite_like_oracle(series, bad, data):
         got = Path(tmp) / "got.csv"
         with pytest.raises(ValueError):
             emit_series(got, header, table)
-        assert got.read_text() == ""
+        assert not got.exists()
         with pytest.raises(ValueError):
             oracle_emit_series(Path(tmp) / "want.csv", header, _rows(table))
 
@@ -363,6 +366,33 @@ def test_run_suite_reruns_byte_identical(tmp_path, model_file):
                                    "mixing_scaling"))
     for name in names:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
+def test_refused_series_leaves_no_report(tmp_path, model_file, monkeypatch):
+    import glab.cli as cli
+
+    real = cli._SUITE_FUNCS["dobrushin"]
+
+    def nan_matrix(model, dist, cfg, inst):
+        checks, payload, series = real(model, dist, cfg, inst)
+        (name, header, table), = series
+        table = table.copy()
+        table[0, 1] = math.nan
+        return checks, payload, [(name, header, table)]
+
+    monkeypatch.setitem(cli._SUITE_FUNCS, "dobrushin", nan_matrix)
+    for command in ("dobrushin", "all"):
+        out = tmp_path / command
+        out.mkdir()
+        (out / "dobrushin_matrix.csv").write_bytes(b"earlier,run\n")
+        with pytest.raises(ValueError, match="non-finite"):
+            run_suite(RunConfig(command=command, model_path=model_file, seed=7,
+                                out_dir=str(out)))
+        # the series goes out before the report, so neither JSON file nor
+        # the all report exists, and the earlier CSV is untouched
+        assert (out / "dobrushin_matrix.csv").read_bytes() == b"earlier,run\n"
+        for name in ("dobrushin.json", "dobrushin_meta.json", "all.json", "all_meta.json"):
+            assert not (out / name).exists(), (command, name)
 
 
 def test_mixing_suite_checks_powers_of_two_up_to_t_mix(tmp_path):

@@ -12,24 +12,21 @@ from glab.exact import (
     as_values,
     boundary_split,
     condition,
-    distribution_from_weights,
     entropy_functional,
     entropy_of_values,
     enumerate_gibbs,
     flip,
-    kl_divergence,
     magnetize,
     magnetized_partition,
     marginal,
-    point_mass,
     site_conditional_plus,
     site_ment_profile,
     total_variation,
-    uniform_distribution,
 )
 from glab.model import IsingModel
 
-from oracles import oracle_entropy
+from oracles import (distribution_from_weights, kl_divergence, oracle_entropy, point_mass,
+                     uniform_distribution)
 from util import random_dist, random_positive_f
 
 SINGLE_EDGE = IsingModel(n=2, edges=[(0, 1)], beta=0.5, lam=(1.0, 1.0))

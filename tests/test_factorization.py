@@ -12,7 +12,6 @@ from glab.exact import (
     entropy_functional,
     magnetize,
     magnetized_partition,
-    uniform_distribution,
 )
 import glab.factorization as factorization
 from glab.capacity import CapacityError
@@ -24,9 +23,7 @@ from glab.factorization import (
     hf_pair,
     hypergeo_concentration,
     hypergeo_concentration_check,
-    hypergeo_pmf,
     hypergeo_pmf_table,
-    hypergeo_sample,
     kappa,
     kappa_binomial,
     lbf_convergence,
@@ -41,7 +38,8 @@ from glab.factorization import (
     ubf_kappa_constant,
 )
 
-from oracles import hypergeo_support, oracle_hf_direct, oracle_mbf_rhs
+from oracles import (distribution_from_weights, hypergeo_pmf, hypergeo_sample, hypergeo_support,
+                     oracle_hf_direct, oracle_mbf_rhs)
 from util import random_dist, random_gibbs, random_positive_f, regime_grid
 
 
@@ -65,6 +63,24 @@ def test_check_report_eq_and_json():
     rep = CheckReport.eq("name", "inst", 1.0, 1.1, witness="f[0]")
     assert not rep.passed
     assert rep.to_json()["witness"] == "f[0]"
+
+
+def test_check_report_keeps_a_witness_only_on_failure():
+    for rep in (CheckReport.le("t", "i", 1.0, 1.0, witness="f[0]"),
+                CheckReport.eq("t", "i", 2.0, 2.0 + 1e-12, witness="f[0]")):
+        assert rep.passed and rep.witness is None
+        assert "witness" not in rep.to_json()
+    for rep in (CheckReport.le("t", "i", 1.0 + 1e-6, 1.0, witness="f[1]"),
+                CheckReport.eq("t", "i", 1.0, 1.1, witness="f[1]")):
+        assert not rep.passed and rep.witness == "f[1]"
+    # the slack decides, not the caller: 1e-9 passes with abs_slack=1e-9
+    assert CheckReport.le("t", "i", 1e-9, 0.0, witness="w", abs_slack=1e-9).witness is None
+    assert CheckReport.le("t", "i", 2e-9, 0.0, witness="w", abs_slack=1e-9).witness == "w"
+    skipped = CheckReport.skipped("t", "i", "skipped: too large")
+    assert skipped.passed
+    assert skipped.to_json() == {"name": "t", "instance": "i", "lhs": 0.0, "rhs": 0.0,
+                                 "constant": 0.0, "pass": True,
+                                 "witness": "skipped: too large"}
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +292,6 @@ def test_ubf_product_single_site_blocks():
         for idx in range(8):
             if (idx >> v) & 1:
                 w[idx] *= lam
-    from glab.exact import distribution_from_weights
 
     d = distribution_from_weights(w)
     fs = [random_positive_f(3, s) for s in range(6)]

@@ -15,10 +15,10 @@ from glab.model import (
     normalize_edges,
     parse_model,
     path_edges,
-    spins_from_index,
     star_edges,
-    uniqueness_thresholds,
 )
+
+from oracles import spins_from_index, uniqueness_thresholds
 
 
 def test_edge_families():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from glab.capacity import CapacityError
-from glab.exact import DenseDistribution, enumerate_gibbs, uniform_distribution
+from glab.exact import DenseDistribution, enumerate_gibbs
 from glab.model import IsingModel, cycle_edges
 from glab import spectral
 from glab.spectral import (
@@ -17,7 +17,8 @@ from glab.spectral import (
     signed_influence_matrix,
 )
 
-from oracles import oracle_correlation, oracle_dobrushin, oracle_influence, oracle_si_sup_estimate
+from oracles import (oracle_correlation, oracle_dobrushin, oracle_influence, oracle_si_sup_estimate,
+                     uniform_distribution)
 from util import random_dist, random_gibbs, regime_grid
 
 
@@ -66,12 +67,12 @@ def test_influence_uniform_is_zero():
 def test_matrix_report_norms():
     m = np.array([[0.0, -0.5], [0.25, 0.0]])
     rep = matrix_report(m, "t")
-    assert rep.inf_norm == pytest.approx(0.5)
-    assert rep.one_norm == pytest.approx(0.5)
-    assert rep.two_norm_upper == pytest.approx(0.5)
+    assert rep["inf_norm"] == pytest.approx(0.5)
+    assert rep["one_norm"] == pytest.approx(0.5)
+    assert rep["two_norm_upper"] == pytest.approx(0.5)
     # eigenvalues are +-i sqrt(1/8): complex, so no max real eig
-    assert rep.max_real_eig is None
-    assert len(rep.complex_eigs) == 2
+    assert rep["max_real_eig"] is None
+    assert len(rep["complex_eigs"]) == 2
 
 
 def test_match_spectra_zero_on_identical():
@@ -125,10 +126,10 @@ def test_homog_spectrum_random_fields():
 
 def test_si_sup_estimate_dominates_plain_norm():
     d = edge_dist(3.0)
-    base = matrix_report(signed_influence_matrix(d)).inf_norm
+    base = matrix_report(signed_influence_matrix(d), "influence")["inf_norm"]
     est = si_sup_estimate(d, FieldSamplerConfig(grid_points=7))
-    assert est.value >= base - 1e-12
-    assert est.fields_evaluated == 49
+    assert est["value"] >= base - 1e-12
+    assert est["fields_evaluated"] == 49
 
 
 def test_si_sup_estimate_budget():
@@ -143,8 +144,8 @@ def test_si_sup_estimate_seeded_draws_are_stable():
     cfg = FieldSamplerConfig(grid_points=3, random_draws=5, seed=9)
     a = si_sup_estimate(d, cfg)
     b = si_sup_estimate(d, cfg)
-    assert a.value == b.value
-    assert a.maximizing_field == b.maximizing_field
+    assert a["value"] == b["value"]
+    assert a["maximizing_field"] == b["maximizing_field"]
 
 
 def _sparse_tables():
@@ -172,15 +173,15 @@ def test_si_sup_estimate_matches_per_field_oracle():
         got = si_sup_estimate(d, cfg)
         want, pairs = oracle_si_sup_estimate(d, cfg)
         assert [tuple(row) for row in fields.tolist()] == [phi for phi, _ in pairs]
-        assert got.fields_evaluated == want.fields_evaluated == len(pairs)
-        assert got.value == pytest.approx(want.value, rel=1e-12, abs=1e-14)
-        assert got.note == want.note
+        assert got["fields_evaluated"] == want["fields_evaluated"] == len(pairs)
+        assert got["value"] == pytest.approx(want["value"], rel=1e-12, abs=1e-14)
+        assert got["note"] == want["note"]
         # the batched maximizer reaches the oracle's maximum
-        at = dict(pairs)[got.maximizing_field]
-        assert at == pytest.approx(want.value, rel=1e-12, abs=1e-14)
+        at = dict(pairs)[tuple(got["maximizing_field"])]
+        assert at == pytest.approx(want["value"], rel=1e-12, abs=1e-14)
         top, second = sorted(v for _, v in pairs)[:-3:-1]
         if top - second > 1e-12 * abs(top) + 1e-14:
-            assert got.maximizing_field == want.maximizing_field
+            assert got["maximizing_field"] == want["maximizing_field"]
 
 
 def test_si_sup_estimate_small_chunks_agree(monkeypatch):
@@ -191,14 +192,15 @@ def test_si_sup_estimate_small_chunks_agree(monkeypatch):
     monkeypatch.setattr(spectral, "_SWEEP_CHUNK_BYTES", 8 * 60 * 5)
     chunked = si_sup_estimate(d, cfg)
     monkeypatch.undo()
-    assert chunked.value == pytest.approx(whole.value, rel=1e-12)
-    assert chunked.fields_evaluated == whole.fields_evaluated == 3 ** 5 + 6
+    assert chunked["value"] == pytest.approx(whole["value"], rel=1e-12)
+    assert chunked["fields_evaluated"] == whole["fields_evaluated"] == 3 ** 5 + 6
     # a row's field never moves that row, so the inf-norm ties exactly
     # across the fields of its maximizing site: the two maximizers may
     # differ, but each reaches the maximum
     _, pairs = oracle_si_sup_estimate(d, cfg)
     for est in (whole, chunked):
-        assert dict(pairs)[est.maximizing_field] == pytest.approx(whole.value, rel=1e-12)
+        assert dict(pairs)[tuple(est["maximizing_field"])] == pytest.approx(whole["value"],
+                                                                            rel=1e-12)
 
 
 def test_site_moments_on_a_support_law():

@@ -23,7 +23,8 @@ from glab.walks import (
     up_matrix,
 )
 
-from oracles import mask_bits, oracle_down_matrix, oracle_levels, oracle_up_matrix
+from oracles import (distribution_from_weights, mask_bits, oracle_down_matrix, oracle_levels,
+                     oracle_up_matrix)
 from util import random_dist, random_gibbs, random_positive_f
 
 
@@ -213,7 +214,6 @@ def test_homogenized_product_contraction():
         for idx in range(16):
             if (idx >> v) & 1:
                 w[idx] *= lam
-    from glab.exact import distribution_from_weights
 
     prod = distribution_from_weights(w)
     levels, mu = homogenized(prod)
