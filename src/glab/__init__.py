@@ -9,15 +9,13 @@ reports.
 
 __version__ = "0.1.0"
 
-from .capacity import CapacityError, exact_limit
+from .capacity import CapacityError
 from .exact import (
     DenseDistribution,
-    FieldAssignment,
     Pinning,
     condition,
     enumerate_gibbs,
     entropy_functional,
-    flip,
     magnetize,
     magnetized_partition,
     marginal,
@@ -44,8 +42,8 @@ from .factorization import (
 from .glauber import (
     compare_identity_check,
     dirichlet_form,
+    dobrushin_bound,
     dobrushin_mls_check,
-    dobrushin_mls_threshold,
     mixing_time_exact,
     mls_estimate,
     mls_mixing_bound,

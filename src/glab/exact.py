@@ -39,14 +39,12 @@ def insert_zero_bit(indices: np.ndarray, v: int) -> np.ndarray:
 class DenseDistribution:
     """Probability table over {-1,+1}^n, bit-packed indexing.
 
-    log_partition optionally records the log normalizing constant of the
-    weights the table was built from, and model the Ising model itself
-    (both set by enumerate_gibbs only; every derived table drops model).
+    model optionally records the Ising model the table was built from
+    (set by enumerate_gibbs only; every derived table drops it).
     """
 
     n: int
     prob: np.ndarray
-    log_partition: Optional[float] = None
     model: Optional[IsingModel] = None
 
     def __post_init__(self):
@@ -130,42 +128,11 @@ class Pinning:
         return cls(sites, tuple(1 for _ in sites))
 
 
-@dataclass(frozen=True)
-class FieldAssignment:
-    """External-field multipliers on a subset of sites (zeros allowed).
-
-    Magnetizing by phi multiplies the weight of each configuration by
-    prod over pinned-plus sites of phi_v; a zero field forbids +1 there.
-    """
-
-    sites: Tuple[int, ...]
-    values: Tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.sites) != len(self.values):
-            raise ValueError("sites and values must align")
-        if list(self.sites) != sorted(set(self.sites)):
-            raise ValueError("sites must be sorted and distinct")
-        if any(not (math.isfinite(x) and x >= 0) for x in self.values):
-            raise ValueError("field values must be finite and nonnegative")
-
-    @classmethod
-    def uniform(cls, n: int, theta: float) -> "FieldAssignment":
-        return cls(tuple(range(n)), tuple(float(theta) for _ in range(n)))
-
-    @classmethod
-    def full(cls, values: Sequence[float]) -> "FieldAssignment":
-        return cls(tuple(range(len(values))), tuple(float(x) for x in values))
-
-
 def enumerate_gibbs(model: IsingModel) -> DenseDistribution:
-    """Exact Gibbs table; log_partition carries log Z, model the source."""
+    """Exact Gibbs table; model records its source."""
     logw = log_weight_table(model)
-    shift = float(np.max(logw))
-    w = np.exp(logw - shift)
-    total = float(np.sum(w))
-    log_z = math.log(total) + shift
-    return DenseDistribution(model.n, w / total, log_partition=log_z, model=model)
+    w = np.exp(logw - float(np.max(logw)))
+    return DenseDistribution(model.n, w / float(np.sum(w)), model=model)
 
 
 def condition(dist: DenseDistribution, pin: Pinning) -> DenseDistribution:
@@ -197,15 +164,28 @@ def marginal(dist: DenseDistribution, sites: Sequence[int]) -> DenseDistribution
     return DenseDistribution(m, p)
 
 
-def magnetize(dist: DenseDistribution, fields: FieldAssignment) -> DenseDistribution:
-    """Reweight by prod_{v in domain, sigma_v=+1} phi_v and renormalize."""
-    if fields.sites and not all(0 <= v < dist.n for v in fields.sites):
-        raise ValueError("field sites out of range")
-    idx = np.arange(1 << dist.n, dtype=np.int64)
-    w = dist.prob.copy()
-    for v, phi in zip(fields.sites, fields.values):
-        plus = ((idx >> v) & 1) == 1
-        w[plus] *= phi
+def _tilt(prob: np.ndarray, states: np.ndarray, phi: Sequence[float]) -> np.ndarray:
+    """prob[i] * prod of phi[v] over the +1 sites v of states[i], site by
+    site in increasing v; a field equal to 1 is skipped."""
+    w = prob.copy()
+    for v, field in enumerate(phi):
+        if field != 1.0:
+            w[(states >> v) & 1 == 1] *= field
+    return w
+
+
+def magnetize(dist: DenseDistribution, phi: Sequence[float]) -> DenseDistribution:
+    """Reweight by prod_{v: sigma_v=+1} phi_v and renormalize.
+
+    phi holds one finite, nonnegative field per site: 1 leaves a site
+    alone, and 0 forbids +1 there.
+    """
+    phi = np.asarray(phi, dtype=np.float64)
+    if phi.shape != (dist.n,):
+        raise ValueError(f"phi must have {dist.n} entries, got shape {phi.shape}")
+    if not np.all(np.isfinite(phi)) or np.any(phi < 0):
+        raise ValueError("field values must be finite and nonnegative")
+    w = _tilt(dist.prob, np.arange(1 << dist.n, dtype=np.int64), phi)
     total = float(np.sum(w))
     if total <= 0:
         raise ValueError("magnetization left no mass (zero fields on the whole support)")
@@ -218,19 +198,6 @@ def magnetized_partition(dist: DenseDistribution, theta: float) -> float:
         raise ValueError(f"theta must lie in (0,1], got {theta}")
     plus = popcount_table(dist.n)
     return float(np.sum(dist.prob * np.exp(plus * math.log(theta))))
-
-
-def flip(dist: DenseDistribution, chi: Sequence[int]) -> DenseDistribution:
-    """Pushforward under sigma -> sigma * chi (coordinatewise signs)."""
-    chi = np.asarray(chi, dtype=np.int64)
-    if chi.shape != (dist.n,) or not np.all(np.abs(chi) == 1):
-        raise ValueError("chi must be a +-1 vector of length n")
-    flipmask = 0
-    for v in range(dist.n):
-        if chi[v] == -1:
-            flipmask |= 1 << v
-    idx = np.arange(1 << dist.n, dtype=np.int64)
-    return DenseDistribution(dist.n, dist.prob[idx ^ flipmask], dist.log_partition)
 
 
 def entropy_functional(dist: DenseDistribution, f: FunctionLike) -> float:

@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .capacity import BLOCK_PAIR_BUDGET, PMF_TABLE_BYTE_BUDGET, CapacityError, exact_limit
+from .capacity import BLOCK_PAIR_BUDGET, EXACT_LIMIT, PMF_TABLE_BYTE_BUDGET, CapacityError
 from .exact import DenseDistribution, FunctionLike, _xlogx, as_values, entropy_functional
 from .transform import digit_outer_sum, feasible_lift
 
@@ -316,8 +316,8 @@ def _lift_block_average(dist: DenseDistribution, k: int, ell: int, f: FunctionLi
     count = math.comb(nk, ell)
     states = (k + 1) ** n
     # one block's tables hold a few arrays of `states` entries, so they are
-    # capped like a table over exact_limit() sites
-    if states > 1 << exact_limit():
+    # capped like a table over EXACT_LIMIT sites
+    if states > 1 << EXACT_LIMIT:
         raise CapacityError(f"{states} lifted states exceed the table of the exact limit")
     if count * states > BLOCK_PAIR_BUDGET:
         raise CapacityError(f"{count} blocks x {states} lifted states exceed the budget "

@@ -33,7 +33,6 @@ from .capacity import MIXING_BYTE_BUDGET, MIXING_STEP_BUDGET, CapacityError
 from .exact import (
     BoundarySplit,
     DenseDistribution,
-    FieldAssignment,
     FunctionLike,
     as_values,
     boundary_split,
@@ -74,16 +73,15 @@ def __getattr__(name: str):
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Glauber kernel over the support states of a distribution."""
+    """Glauber kernel over the support states of a distribution, in
+    ascending configuration index."""
 
-    n: int
-    support: np.ndarray          # config indices, ascending
     stationary: np.ndarray       # stationary law over support states
     matrix: sp.csr_matrix
 
     @property
     def size(self) -> int:
-        return int(self.support.size)
+        return int(self.stationary.size)
 
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
@@ -137,7 +135,7 @@ def transition_matrix(dist: DenseDistribution) -> TransitionMatrix:
     w = np.concatenate(vals)
     matrix = sp.coo_matrix((w, (r, c)), shape=(m, m)).tocsr()
 
-    return TransitionMatrix(n=n, support=support, stationary=ps, matrix=matrix)
+    return TransitionMatrix(stationary=ps, matrix=matrix)
 
 
 def _pair_arrays(dist: DenseDistribution) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -207,6 +205,10 @@ class MlsRestart:
     rho: float
 
 
+# how every MlsEstimate is found, as the mixing report names it
+MLS_METHOD = "multistart L-BFGS-B (upper bound)"
+
+
 @dataclass(frozen=True)
 class MlsEstimate:
     """Multi-start minimization result for the entropy-contraction ratio.
@@ -218,7 +220,6 @@ class MlsEstimate:
     rho_hat: float
     minimizer: np.ndarray
     runs: Tuple[MlsRestart, ...]
-    method: str = "multistart L-BFGS-B (upper bound)"
 
 
 # L-BFGS-B settings of every restart: tight enough that the search stops
@@ -506,18 +507,10 @@ _CHAIN_CHUNK = 1 << 14
 @dataclass(frozen=True)
 class ChainTrace:
     """Thinned trajectory as one C-contiguous (rows, 2) uint64 table:
-    row i is (steps[i], states[i]), the configuration index held after
-    that many steps."""
+    row i is a step number (0, thin, 2 thin, ...) and the configuration
+    index held after that many steps."""
 
     table: np.ndarray
-    seed: int
-    start: int
-    thin: int
-
-    @property
-    def steps(self) -> np.ndarray:
-        """Step numbers 0, thin, 2 thin, ... (a view of column 0)."""
-        return self.table[:, 0]
 
     @property
     def states(self) -> np.ndarray:
@@ -565,7 +558,6 @@ def run_chain(
     state = 0 if init is None else int(init)
     if not 0 <= state < (1 << n):
         raise ValueError("initial configuration out of range")
-    start = state
     table = np.empty((steps // thin + 1, 2), dtype=np.uint64)
     table[:, 0] = np.arange(0, steps + 1, thin)
     table[0, 1] = state
@@ -582,7 +574,7 @@ def run_chain(
         table[kept:kept + len(picked), 1] = picked
         kept += len(picked)
         done += take
-    return ChainTrace(table=table, seed=seed, start=start, thin=thin)
+    return ChainTrace(table=table)
 
 
 def _model_stepper(model: IsingModel):
@@ -660,33 +652,35 @@ def marginal_lower_bound(dist: DenseDistribution) -> float:
     return worst
 
 
-def dobrushin_contraction_norm(dist: DenseDistribution) -> float:
-    """Two-norm (largest singular value) of the Dobrushin matrix."""
+def dobrushin_bound(dist: DenseDistribution) -> Tuple[np.ndarray, dict]:
+    """(A, bound): the Dobrushin matrix A and the ratio bound it gives.
+
+    bound["contraction_norm"] is |A|_2, the largest singular value;
+    bound["alpha"] the marginal lower bound, None without full support;
+    bound["threshold"] alpha (1 - |A|_2)^2 / (2n), None when the norm
+    reaches 1.  A norm below 1 on a table without full support raises
+    ValueError, as marginal_lower_bound does.
+    """
     a = dobrushin_matrix(dist)
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
-
-
-def dobrushin_mls_threshold(dist: DenseDistribution) -> Optional[float]:
-    """alpha (1 - |A|_2)^2 / (2n), or None when the contraction fails."""
-    s = dobrushin_contraction_norm(dist)
-    if s >= 1.0:
-        return None
-    alpha = marginal_lower_bound(dist)
-    return alpha * (1.0 - s) ** 2 / (2.0 * dist.n)
+    s = float(np.linalg.norm(a, 2)) if a.size else 0.0
+    # a norm below 1 needs alpha, and marginal_lower_bound raises then
+    # when the table lacks full support
+    alpha = marginal_lower_bound(dist) if s < 1.0 or dist.full_support() else None
+    threshold = alpha * (1.0 - s) ** 2 / (2.0 * dist.n) if s < 1.0 else None
+    return a, {"contraction_norm": s, "alpha": alpha, "threshold": threshold}
 
 
 def dobrushin_mls_check(
-    dist: DenseDistribution, fs: Sequence[FunctionLike], instance: str = "",
+    dist: DenseDistribution, threshold: Optional[float], fs: Sequence[FunctionLike],
+    instance: str = "",
 ) -> List[CheckReport]:
-    """threshold * Ent[f] <= Dirichlet form of (f, log f), per f.
+    """threshold * Ent[f] <= Dirichlet form of (f, log f), per f, for
+    the threshold of dobrushin_bound.
 
-    When the contraction norm reaches 1 the bound asserts nothing; a
-    single vacuous report says so instead of raising.
+    When the contraction norm reaches 1 (threshold None) the bound
+    asserts nothing; a single vacuous report says so instead of raising.
     """
     name = "dobrushin-ratio-lower-bound"
-    threshold = dobrushin_mls_threshold(dist)
     if threshold is None:
         return [CheckReport.skipped(name, instance, "not applicable: contraction norm >= 1")]
     return [CheckReport.le(name, instance, threshold * entropy_functional(dist, f),
@@ -738,7 +732,7 @@ def verification_bounds_check(
 
     chi = flip_direction(model)
     phi = np.where(chi == 1, EXTREME_FIELD, 1.0 / EXTREME_FIELD)
-    extreme = magnetize(base, FieldAssignment.full(phi))
+    extreme = magnetize(base, phi)
 
     alpha = marginal_lower_bound(extreme)
     alpha_bound = c_hyp / 2e4
@@ -794,7 +788,7 @@ def compare_identity_check(
     if not 0 <= v < n:
         raise ValueError(f"site {v} out of range")
     vals = as_values(f, n)
-    pi = magnetize(dist, FieldAssignment.uniform(n, theta))
+    pi = magnetize(dist, np.full(n, theta))
 
     log_theta = math.log(theta)
     log_one_minus = math.log1p(-theta)
@@ -847,7 +841,7 @@ def tensorization_chain_check(
     """
     if not 0 < theta < 1:
         raise ValueError(f"theta must lie in (0,1), got {theta}")
-    pi = magnetize(dist, FieldAssignment.uniform(dist.n, theta))
+    pi = magnetize(dist, np.full(dist.n, theta))
     z_pi = magnetized_partition(dist, theta)
     violation = _margin_violation(dist, pi)
     monotone_ok = violation <= 1e-12

@@ -52,7 +52,6 @@ class IsingModel:
     edges: Tuple[Edge, ...]
     beta: float
     lam: np.ndarray
-    delta: Optional[float] = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -69,8 +68,6 @@ class IsingModel:
             raise ValueError("lambda entries must be positive and finite")
         lam.setflags(write=False)
         object.__setattr__(self, "lam", lam)
-        if self.delta is not None and not (0 < self.delta < 1):
-            raise ValueError(f"delta must lie in (0,1), got {self.delta}")
 
     @property
     def max_degree(self) -> int:
@@ -103,17 +100,6 @@ def log_weight_table(model: IsingModel) -> np.ndarray:
         plus = ((idx >> v) & 1) == 1
         logw[plus] += math.log(model.lam[v])
     return logw
-
-
-def config_index(spins: Sequence[int]) -> int:
-    """Bit-packed index of a +-1 configuration (bit v set means +1 at v)."""
-    out = 0
-    for v, s in enumerate(spins):
-        if s == 1:
-            out |= 1 << v
-        elif s != -1:
-            raise ValueError(f"spin values must be +-1, got {s}")
-    return out
 
 
 # Graph constructors used throughout the test batteries.
@@ -255,16 +241,16 @@ def parse_model(obj: dict) -> IsingModel:
     """Build a model from its JSON object form.
 
     Expected keys: n (int), edges (list of [u,v], 0-based), beta (float),
-    lambda (list of floats, or a scalar broadcast to all vertices), and
-    optional delta.  Unknown keys are rejected.
+    and lambda (list of floats, or a scalar broadcast to all vertices).
+    Any other key is rejected.
     """
     if not isinstance(obj, dict):
         raise ValueError("model JSON must be an object")
-    allowed = {"n", "edges", "beta", "lambda", "delta"}
-    unknown = set(obj) - allowed
+    fields = {"n", "edges", "beta", "lambda"}
+    unknown = set(obj) - fields
     if unknown:
         raise ValueError(f"unknown model fields: {sorted(unknown)}")
-    missing = {"n", "edges", "beta", "lambda"} - set(obj)
+    missing = fields - set(obj)
     if missing:
         raise ValueError(f"missing model fields: {sorted(missing)}")
     n = obj["n"]
@@ -277,10 +263,8 @@ def parse_model(obj: dict) -> IsingModel:
         lam_arr = np.asarray([float(x) for x in lam], dtype=np.float64)
     else:
         raise ValueError("lambda must be a number or a list of numbers")
-    delta = obj.get("delta")
     return IsingModel(n=n, edges=tuple(tuple(e) for e in obj["edges"]),
-                      beta=float(obj["beta"]), lam=lam_arr,
-                      delta=None if delta is None else float(delta))
+                      beta=float(obj["beta"]), lam=lam_arr)
 
 
 def load_model(path: str) -> IsingModel:
@@ -290,12 +274,9 @@ def load_model(path: str) -> IsingModel:
 
 
 def model_to_json(model: IsingModel) -> dict:
-    out = {
+    return {
         "n": model.n,
         "edges": [list(e) for e in model.edges],
         "beta": model.beta,
         "lambda": [float(x) for x in model.lam],
     }
-    if model.delta is not None:
-        out["delta"] = model.delta
-    return out

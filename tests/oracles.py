@@ -21,6 +21,19 @@ def table_of(dist):
     return out
 
 
+def oracle_magnetize(dist, phi):
+    """{spin tuple: probability} of dist reweighted by the product of
+    phi[v] over the plus sites v and renormalized."""
+    weights = {}
+    for spins, p in table_of(dist).items():
+        for v, s in enumerate(spins):
+            if s == 1:
+                p *= float(phi[v])
+        weights[spins] = p
+    total = sum(weights.values())
+    return {spins: w / total for spins, w in weights.items()}
+
+
 def conditional_plus(table, n, v, fixed):
     """P[sigma_v = +1 | sigma_u = fixed[u] for u in fixed], or None."""
     num = 0.0
@@ -100,12 +113,12 @@ def oracle_si_sup_estimate(dist, config):
     """
     from itertools import product as grid_product
 
-    from glab.exact import FieldAssignment, magnetize
+    from glab.exact import magnetize
     from glab.rng import derive_generator
     from glab.spectral import FIELD_HI, FIELD_LO
 
     def evaluate(phi):
-        m = oracle_influence(magnetize(dist, FieldAssignment.full(phi)))
+        m = oracle_influence(magnetize(dist, phi))
         return float(np.max(np.sum(np.abs(m), axis=1)))
 
     fields = [np.asarray(combo) for combo in grid_product(config.grid_values(), repeat=dist.n)]
@@ -318,11 +331,11 @@ def oracle_mbf_rhs(dist, theta, f):
     event has no mass are skipped.  Like oracle_pinned_dobrushin_worst it
     reuses the package's magnetize, condition and entropy_functional.
     """
-    from glab.exact import FieldAssignment, Pinning, condition, entropy_functional, magnetize
+    from glab.exact import Pinning, condition, entropy_functional, magnetize
 
     n = dist.n
     z_pi = sum(p * theta ** bin(x).count("1") for x, p in enumerate(dist.prob))
-    pi = magnetize(dist, FieldAssignment.uniform(n, theta))
+    pi = magnetize(dist, np.full(n, theta))
     total = 0.0
     for r in range(1 << n):
         sites = [v for v in range(n) if (r >> v) & 1]
@@ -398,13 +411,13 @@ def oracle_compare_subset_route(dist, theta, v, f):
     one conditioned table per block R.  Like oracle_mbf_rhs it reuses the
     package's magnetize, condition, superset_sums and boundary_split.
     """
-    from glab.exact import (FieldAssignment, Pinning, as_values, boundary_split, condition,
-                            magnetize, popcount_table)
+    from glab.exact import (Pinning, as_values, boundary_split, condition, magnetize,
+                            popcount_table)
     from glab.factorization import superset_sums
 
     n = dist.n
     vals = as_values(f, n)
-    pi = magnetize(dist, FieldAssignment.uniform(n, theta))
+    pi = magnetize(dist, np.full(n, theta))
     log_theta = math.log(theta)
     log_one_minus = math.log1p(-theta)
 
@@ -690,6 +703,21 @@ def uniform_distribution(n):
     return DenseDistribution(n, np.full(size, 1.0 / size))
 
 
+def flip(dist, chi):
+    """Pushforward under sigma -> sigma * chi (coordinatewise signs)."""
+    from glab.exact import DenseDistribution
+
+    chi = np.asarray(chi, dtype=np.int64)
+    if chi.shape != (dist.n,) or not np.all(np.abs(chi) == 1):
+        raise ValueError("chi must be a +-1 vector of length n")
+    flipmask = 0
+    for v in range(dist.n):
+        if chi[v] == -1:
+            flipmask |= 1 << v
+    idx = np.arange(1 << dist.n, dtype=np.int64)
+    return DenseDistribution(dist.n, dist.prob[idx ^ flipmask])
+
+
 def point_mass(n, index):
     from glab.exact import DenseDistribution
 
@@ -742,6 +770,17 @@ def hypergeo_sample(spec, seed, size):
             draw = gen.hypergeometric(spec.k, nbad, remaining)
         out[:, v] = draw
         remaining = remaining - draw
+    return out
+
+
+def config_index(spins):
+    """Bit-packed index of a +-1 configuration (bit v set means +1 at v)."""
+    out = 0
+    for v, s in enumerate(spins):
+        if s == 1:
+            out |= 1 << v
+        elif s != -1:
+            raise ValueError(f"spin values must be +-1, got {s}")
     return out
 
 

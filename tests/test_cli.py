@@ -264,7 +264,7 @@ def test_emit_series_writes_chain_tables_as_the_oracle_bytes(tmp_path, monkeypat
         for head in (("step", "config_index"), None):
             got, want = tmp_path / f"got{idx}.csv", tmp_path / f"want{idx}.csv"
             emit_series(got, head, trace.rows())
-            oracle_emit_series(want, head, zip(trace.steps.tolist(), trace.states.tolist()))
+            oracle_emit_series(want, head, zip(trace.rows()[:, 0].tolist(), trace.states.tolist()))
             assert got.read_bytes() == want.read_bytes()
 
 
@@ -295,7 +295,6 @@ def test_chain_table_is_written_in_bounded_chunks_without_a_copy():
     trace = run_chain(MODEL, 2 * cli._ROWS_PER_WRITE + 5, 4)
     assert trace.rows() is trace.table
     assert trace.table.flags.c_contiguous
-    assert np.shares_memory(trace.table, trace.steps)
     assert np.shares_memory(trace.table, trace.states)
     stream = _RecordingStream()
     cli._write_series(stream, ("step", "config_index"), trace.rows())
@@ -544,17 +543,20 @@ def test_walks_suite_runs_without_full_support(tmp_path):
     assert all(float(p) > 0 for _, _, p in rows)
 
 
-def test_ktransform_suite_reports_capacity_skips(tmp_path, monkeypatch):
-    # 9 sites admit neither the 10-site nor the 15-site lift of 5 sites
-    monkeypatch.setenv("GLAB_CAPACITY", "9")
-    path = tmp_path / "cycle5.json"
-    path.write_text(json.dumps(model_to_json(_cycle(5))))
+def test_ktransform_suite_reports_capacity_skips(tmp_path):
+    # the exact limit of 22 sites admits neither the 24-site nor the
+    # 36-site lift of 12 sites
+    path = tmp_path / "cycle12.json"
+    path.write_text(json.dumps(model_to_json(_cycle(12))))
     result = run_suite(RunConfig(command="ktransform", model_path=str(path), seed=7,
                                  out_dir=str(tmp_path / "out")))
     assert result.passed
     body = json.loads((tmp_path / "out" / "ktransform.json").read_text())
     assert [c["name"] for c in body["checks"]] == ["lift-capacity-k2", "lift-capacity-k3"]
-    assert all(c["pass"] and c["witness"].startswith("skipped: ") for c in body["checks"])
+    assert [c["witness"] for c in body["checks"]] == [
+        "skipped: k-copy lift over 24 sites exceeds the exact limit of 22",
+        "skipped: k-copy lift over 36 sites exceeds the exact limit of 22"]
+    assert all(c["pass"] for c in body["checks"])
     assert body["payload"]["ks"] == []
 
 
@@ -613,18 +615,16 @@ def test_cli_run_exit_codes(tmp_path, model_file):
     assert "compare: pass" in out.output
 
 
-def test_cli_run_past_the_exact_limit_exits_with_one_line(tmp_path, monkeypatch):
-    monkeypatch.setenv("GLAB_CAPACITY", "4")
-    path = tmp_path / "cycle6.json"
-    path.write_text(json.dumps(model_to_json(_cycle(6))))
+def test_cli_run_past_the_exact_limit_exits_with_one_line(tmp_path):
+    path = tmp_path / "cycle23.json"
+    path.write_text(json.dumps(model_to_json(_cycle(23))))
     reports = tmp_path / "r"
     out = CliRunner().invoke(main, ["run", "--suite", "compare", "--model", str(path),
                                     "--out", str(reports)])
     assert out.exit_code == 1
     assert isinstance(out.exception, SystemExit)
     assert out.output.splitlines() == [
-        "Error: Ising weight table over 6 sites exceeds the exact limit of 4; "
-        "set GLAB_CAPACITY to raise it"]
+        "Error: Ising weight table over 23 sites exceeds the exact limit of 22"]
     assert not reports.exists()
 
 
@@ -645,6 +645,43 @@ def test_cli_refuses_values_outside_their_domain(tmp_path, model_file, args, mes
     assert "Traceback" not in out.output
     assert [line for line in out.output.splitlines() if line.startswith("Error")] == [message]
     assert list(tmp_path.iterdir()) == [Path(model_file)]
+
+
+@pytest.mark.parametrize("text, message", [
+    (json.dumps({**model_to_json(MODEL), "delta": 0.3}), "unknown model fields: ['delta']"),
+    ("n = 3", "Expecting value: line 1 column 1 (char 0)"),
+], ids=["delta", "not-json"])
+@pytest.mark.parametrize("command", [["run", "--suite", "all"], ["sample", "--steps", "3"],
+                                     ["mix"]], ids=["run", "sample", "mix"])
+def test_cli_refuses_a_model_file_it_cannot_read(tmp_path, command, text, message):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    outputs = {"run": ["--out", str(tmp_path / "r")], "sample": ["--out", str(tmp_path / "t.csv")]}
+    out = CliRunner().invoke(main, command + ["--model", str(path)] + outputs.get(command[0], []))
+    assert out.exit_code == 2
+    assert isinstance(out.exception, SystemExit)
+    assert "Traceback" not in out.output
+    assert [line for line in out.output.splitlines() if line.startswith("Error")] == [
+        f"Error: Invalid value for '--model': {message}"]
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_cli_run_all_on_one_site(tmp_path):
+    # one bucket has no cross pair of copies, and the chain mixes in one step
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"n": 1, "edges": [], "beta": 1.0, "lambda": [2.0]}))
+    reports = tmp_path / "r"
+    out = CliRunner().invoke(main, ["run", "--suite", "all", "--model", str(path), "--seed", "7",
+                                    "--out", str(reports)])
+    assert out.exit_code == 0, out.output
+    body = json.loads((reports / "ktransform.json").read_text())
+    assert body["pass"] is True
+    for rep in body["payload"]["influence_comparisons"]:
+        assert rep["max_cross_violation"] is None and rep["cross_witness"] is None
+    cross = [c for c in body["checks"] if c["name"].startswith("ktrans-influence-cross")]
+    assert [c["witness"] for c in cross] == ["not applicable: no bounded entry"] * 2
+    mixing = json.loads((reports / "mixing.json").read_text())
+    assert [c["name"] for c in mixing["checks"]] == ["worst-tv-monotone-t1"]
 
 
 def test_cli_sample_takes_the_last_configuration_as_init(model_file):
@@ -698,7 +735,7 @@ def test_cli_sample_64_sites_matches_oracle_writer(tmp_path):
     trace = run_chain(model, 30000, 5)
     assert int(trace.states.max()) >= 1 << 63
     want = oracle_emit_series(tmp_path / "want.csv", ("step", "config_index"),
-                              list(zip(trace.steps.tolist(), trace.states.tolist())))
+                              list(zip(trace.rows()[:, 0].tolist(), trace.states.tolist())))
     assert got.read_bytes() == Path(want).read_bytes()
 
 
@@ -717,13 +754,14 @@ def test_cli_mix_reports_required_keys(model_file):
 @pytest.mark.parametrize("limit, message", [
     ("MIXING_STEP_BUDGET", "Error: mixing over 32 support states stopped after 0 steps"),
     ("MIXING_BYTE_BUDGET", "Error: mixing over 32 support states needs"),
-    ("GLAB_CAPACITY", "Error: Ising weight table over 5 sites exceeds the exact limit of 4"),
+    ("EXACT_LIMIT", "Error: Ising weight table over 5 sites exceeds the exact limit of 4"),
 ], ids=["step-budget", "byte-budget", "exact-limit"])
 def test_cli_mix_refused_by_a_limit_exits_with_one_line(tmp_path, monkeypatch, limit, message):
+    import glab.capacity as capacity
     import glab.glauber as gl
 
-    if limit == "GLAB_CAPACITY":
-        monkeypatch.setenv(limit, "4")
+    if limit == "EXACT_LIMIT":
+        monkeypatch.setattr(capacity, limit, 4)
     else:
         monkeypatch.setattr(gl, limit, 1)
     path = tmp_path / "cycle5.json"

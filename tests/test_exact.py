@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from glab.exact import (
     DenseDistribution,
-    FieldAssignment,
     _kl,
     Pinning,
     as_values,
@@ -15,7 +14,6 @@ from glab.exact import (
     entropy_functional,
     entropy_of_values,
     enumerate_gibbs,
-    flip,
     magnetize,
     magnetized_partition,
     marginal,
@@ -25,8 +23,8 @@ from glab.exact import (
 )
 from glab.model import IsingModel
 
-from oracles import (distribution_from_weights, kl_divergence, oracle_entropy, point_mass,
-                     uniform_distribution)
+from oracles import (distribution_from_weights, flip, kl_divergence, oracle_entropy,
+                     oracle_magnetize, point_mass, table_of, uniform_distribution)
 from util import random_dist, random_positive_f
 
 SINGLE_EDGE = IsingModel(n=2, edges=[(0, 1)], beta=0.5, lam=(1.0, 1.0))
@@ -36,7 +34,6 @@ def test_single_edge_table():
     d = enumerate_gibbs(SINGLE_EDGE)
     # weights 1/2, 1, 1, 1/2 over --, +-, -+, ++ and Z = 3
     assert d.prob == pytest.approx([1 / 6, 1 / 3, 1 / 3, 1 / 6], abs=1e-15)
-    assert math.exp(d.log_partition) == pytest.approx(3.0, rel=1e-12)
 
 
 def test_single_vertex_field():
@@ -70,16 +67,38 @@ def test_condition_infeasible():
 
 def test_magnetize_theta_one_is_identity():
     d = random_dist(3, 5)
-    m = magnetize(d, FieldAssignment.uniform(3, 1.0))
+    m = magnetize(d, np.ones(3))
     assert total_variation(d, m) < 1e-14
 
 
 def test_magnetize_tilts_plus_down():
     d = enumerate_gibbs(SINGLE_EDGE)
-    m = magnetize(d, FieldAssignment.uniform(2, 0.5))
+    m = magnetize(d, np.full(2, 0.5))
     # each +1 coordinate is reweighted by 1/2
     w = np.array([1 / 6, 1 / 6, 1 / 6, 1 / 24])
     assert m.prob == pytest.approx(w / w.sum(), abs=1e-12)
+
+
+def test_magnetize_matches_oracle_product_of_fields():
+    gen = np.random.default_rng(31)
+    for seed in range(6):
+        d = random_dist(4, seed, zero_frac=0.2)
+        phi = np.exp(gen.normal(0.0, 1.0, size=4))
+        phi[seed % 4] = 1.0  # a site left alone
+        if seed % 2:
+            phi[(seed + 1) % 4] = 0.0  # a site where +1 is forbidden
+        want = oracle_magnetize(d, phi)
+        got = table_of(magnetize(d, list(phi)))
+        for spins, p in want.items():
+            assert got[spins] == pytest.approx(p, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("phi", [[1.0, 1.0], [1.0, 1.0, 1.0, 1.0], [1.0, -0.5, 1.0],
+                                 [1.0, math.nan, 1.0], [math.inf, 1.0, 1.0]],
+                         ids=["short", "long", "negative", "nan", "inf"])
+def test_magnetize_refuses_a_bad_field_vector(phi):
+    with pytest.raises(ValueError):
+        magnetize(random_dist(3, 4), phi)
 
 
 def test_magnetized_partition_single_edge():

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from glab.exact import (
-    FieldAssignment,
     Pinning,
     condition,
     entropy_functional,
@@ -317,7 +316,7 @@ def test_mbf_rhs_single_site():
     d = random_dist(1, 51)
     f = random_positive_f(1, 52)
     theta = 0.5
-    pi = magnetize(d, FieldAssignment.uniform(1, theta))
+    pi = magnetize(d, [theta])
     z = magnetized_partition(d, theta)
     want = z * entropy_functional(pi, f)
     assert mbf_rhs(d, theta, f) == pytest.approx(want, rel=1e-10)

@@ -9,10 +9,8 @@ from scipy.sparse.csgraph import connected_components
 from glab.capacity import CapacityError
 from glab.exact import (
     DenseDistribution,
-    FieldAssignment,
     enumerate_gibbs,
     entropy_functional,
-    flip,
     magnetize,
 )
 from glab.glauber import (
@@ -21,9 +19,8 @@ from glab.glauber import (
     dirichlet_form,
     dirichlet_form_inner,
     dirichlet_form_sites,
-    dobrushin_contraction_norm,
+    dobrushin_bound,
     dobrushin_mls_check,
-    dobrushin_mls_threshold,
     marginal_lower_bound,
     mixing_time_exact,
     mls_estimate,
@@ -38,6 +35,7 @@ from glab.model import IsingModel, complete_edges, cycle_edges, path_edges, star
 
 from oracles import (
     conditional_plus,
+    flip,
     mls_ratio,
     oracle_compare_subset_route,
     oracle_mixing_bracket,
@@ -510,7 +508,7 @@ def test_chain_modes_agree_exactly():
     a = run_chain(model, 200, seed=5)
     b = run_chain(dist, 200, seed=5)
     assert np.array_equal(a.states, b.states)
-    assert np.array_equal(a.steps, b.steps)
+    assert np.array_equal(a.rows(), b.rows())
 
 
 def test_chain_determinism_and_thinning():
@@ -518,7 +516,7 @@ def test_chain_determinism_and_thinning():
     a = run_chain(model, 100, seed=3, thin=10)
     b = run_chain(model, 100, seed=3, thin=10)
     assert np.array_equal(a.states, b.states)
-    assert list(a.steps) == list(range(0, 101, 10))
+    assert a.rows()[:, 0].tolist() == list(range(0, 101, 10))
     assert a.rows()[0].tolist() == [0, 0]
 
 
@@ -526,7 +524,6 @@ def test_chain_start_state():
     model = IsingModel(n=3, edges=[], beta=1.0, lam=(1.0,) * 3)
     t = run_chain(model, 0, seed=1, init=5)
     assert t.states[0] == 5
-    assert t.start == 5
 
 
 def test_chain_long_run_frequency():
@@ -561,7 +558,7 @@ CHAIN_MODELS = {
 def _assert_chain_matches_oracle(source, steps, seed, init=None, thin=1):
     trace = run_chain(source, steps, seed, init=init, thin=thin)
     want_steps, want_states = oracle_run_chain(source, steps, seed, init=init, thin=thin)
-    assert trace.steps.tolist() == want_steps
+    assert trace.rows()[:, 0].tolist() == want_steps
     assert trace.states.dtype == np.uint64
     assert trace.states.tolist() == want_states
 
@@ -590,7 +587,7 @@ def test_chain_64_sites_in_model_mode():
     assert trace.states.dtype == np.uint64
     assert int(trace.states.max()) >= 1 << 63
     want_steps, want_states = oracle_run_chain(model, 40_000, seed=7)
-    assert trace.steps.tolist() == want_steps
+    assert trace.rows()[:, 0].tolist() == want_steps
     assert trace.states.tolist() == want_states
     _assert_chain_matches_oracle(model, 5000, seed=8, init=(1 << 64) - 1, thin=10)
 
@@ -648,9 +645,9 @@ def test_compare_identity_single_site():
     rep = compare_identity_check(d, 0.3, 0, f)
     assert rep.passed
     # both sides equal theta times the site entropy term of the tilted law
-    from glab.exact import FieldAssignment, as_values, boundary_split, magnetize
+    from glab.exact import as_values, boundary_split, magnetize
 
-    pi = magnetize(d, FieldAssignment.uniform(1, 0.3))
+    pi = magnetize(d, [0.3])
     assert rep.lhs == pytest.approx(0.3 * boundary_split(pi, 0).expected_ment(as_values(f, 1)),
                                     rel=1e-10)
 
@@ -662,7 +659,7 @@ def test_margin_monotonicity():
 
     for seed in range(5):
         d = random_gibbs(3, seed + 90)
-        pi = magnetize(d, FieldAssignment.uniform(3, 0.5))
+        pi = magnetize(d, np.full(3, 0.5))
         mu_table, pi_table = table_of(d), table_of(pi)
         want = -math.inf
         for v in range(3):
@@ -743,8 +740,10 @@ def test_tensorization_constant_is_partition():
 
 def test_contraction_norm_single_edge():
     d = enumerate_gibbs(SINGLE_EDGE)
-    assert dobrushin_contraction_norm(d) == pytest.approx(1 / 3, abs=1e-9)
-    assert dobrushin_mls_threshold(d) == pytest.approx(1 / 27, abs=1e-9)
+    _, bound = dobrushin_bound(d)
+    assert bound["contraction_norm"] == pytest.approx(1 / 3, abs=1e-9)
+    assert bound["alpha"] == marginal_lower_bound(d)
+    assert bound["threshold"] == pytest.approx(1 / 27, abs=1e-9)
 
 
 def test_contraction_norm_is_the_two_norm():
@@ -753,8 +752,9 @@ def test_contraction_norm_is_the_two_norm():
     # on the 5-path at beta 1.5 a power iteration stops 3.6e-14 below the norm
     path = IsingModel(n=5, edges=path_edges(5), beta=1.5, lam=(2.0, 0.5, 2.0, 0.5, 2.0))
     for d in [enumerate_gibbs(path)] + [random_gibbs(5, seed + 600) for seed in range(4)]:
-        a = dobrushin_matrix(d)
-        s = dobrushin_contraction_norm(d)
+        a, bound = dobrushin_bound(d)
+        assert np.array_equal(a, dobrushin_matrix(d))
+        s = bound["contraction_norm"]
         # the largest singular value, below the sqrt(|A|_1 |A|_inf) bound
         assert s == pytest.approx(math.sqrt(np.linalg.eigvalsh(a.T @ a)[-1]), rel=1e-14, abs=0)
         one, inf = np.abs(a).sum(axis=0).max(), np.abs(a).sum(axis=1).max()
@@ -764,10 +764,10 @@ def test_contraction_norm_is_the_two_norm():
 def test_dobrushin_mls_inequality():
     d = enumerate_gibbs(SINGLE_EDGE)
     fs = [random_positive_f(2, s) for s in range(10)]
-    reps = dobrushin_mls_check(d, fs)
+    thr = dobrushin_bound(d)[1]["threshold"]
+    reps = dobrushin_mls_check(d, thr, fs)
     assert len(reps) == 10
     assert all(r.passed for r in reps)
-    thr = dobrushin_mls_threshold(d)
     for f, rep in zip(fs, reps):
         assert rep.lhs == pytest.approx(thr * entropy_functional(d, f), rel=1e-12)
 
@@ -777,11 +777,24 @@ def test_dobrushin_not_applicable():
 
     model = IsingModel(n=4, edges=complete_edges(4), beta=8.0, lam=(1.0,) * 4)
     d = enumerate_gibbs(model)
-    assert dobrushin_contraction_norm(d) >= 1.0
-    reps = dobrushin_mls_check(d, [random_positive_f(4, 1)])
+    _, bound = dobrushin_bound(d)
+    assert bound["contraction_norm"] >= 1.0
+    assert bound["threshold"] is None
+    assert bound["alpha"] == marginal_lower_bound(d)
+    reps = dobrushin_mls_check(d, bound["threshold"], [random_positive_f(4, 1)])
     assert len(reps) == 1
     assert reps[0].passed
     assert "not applicable" in reps[0].witness
+
+
+def test_dobrushin_bound_without_full_support():
+    # norm 3/7 < 1 asks for the marginal bound, which needs full support
+    with pytest.raises(ValueError, match="fully supported"):
+        dobrushin_bound(DenseDistribution(2, np.array([0.4, 0.3, 0.3, 0.0])))
+    # at norm 1 there is no threshold, so no marginal bound is needed
+    _, bound = dobrushin_bound(DenseDistribution(2, np.array([0.5, 0.0, 0.0, 0.5])))
+    assert bound == {"contraction_norm": pytest.approx(1.0, abs=1e-15), "alpha": None,
+                     "threshold": None}
 
 
 def test_marginal_lower_bound_brute():
@@ -828,7 +841,7 @@ def test_verification_unpinned_norm_bounds_every_pinning():
     models += [model for _, model in regime_grid()]
     for model in models:
         phi = np.where(flip_direction(model) == 1, EXTREME_FIELD, 1.0 / EXTREME_FIELD)
-        extreme = magnetize(enumerate_gibbs(model), FieldAssignment.full(phi))
+        extreme = magnetize(enumerate_gibbs(model), phi)
         single = verification_bounds_check(model, 0.5)[1]["dobrushin_worst_norm"]
         swept = oracle_pinned_dobrushin_worst(extreme)
         assert swept >= single

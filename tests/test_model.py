@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from glab.model import (
     IsingModel,
     complete_edges,
-    config_index,
     cycle_edges,
     delta_interior,
     flip_direction,
@@ -18,7 +17,7 @@ from glab.model import (
     star_edges,
 )
 
-from oracles import spins_from_index, uniqueness_thresholds
+from oracles import config_index, spins_from_index, uniqueness_thresholds
 
 
 def test_edge_families():
@@ -85,13 +84,18 @@ def test_parse_model_rejects_unknown_keys():
         parse_model({"n": 2, "edges": [], "beta": 1.0, "lambda": [1, 1], "zeta": 3})
 
 
+def test_parse_model_rejects_delta():
+    # the interior margin is a run option (--delta), not part of a model
+    with pytest.raises(ValueError, match=r"unknown model fields: \['delta'\]"):
+        parse_model({"n": 2, "edges": [], "beta": 1.0, "lambda": [1, 1], "delta": 0.3})
+
+
 def same_model(a, b):
     return (
         a.n == b.n
         and a.edges == b.edges
         and a.beta == b.beta
         and np.array_equal(a.lam, b.lam)
-        and a.delta == b.delta
     )
 
 

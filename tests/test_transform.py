@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import glab.capacity as capacity
 import glab.transform as transform
 from glab.capacity import CapacityError
 from glab.exact import (
     DenseDistribution,
-    FieldAssignment,
     Pinning,
     condition,
     enumerate_gibbs,
@@ -212,7 +212,7 @@ def test_lifted_influence_matches_dense_oracle(monkeypatch):
         td = k_transform(d, k)
         lifted, _ = oracle_k_transform(d, k)
         phi = np.exp(gen.uniform(math.log(0.25), math.log(4.0), size=(d.n, k)))
-        want = signed_influence_matrix(magnetize(lifted, FieldAssignment.full(phi.reshape(-1))))
+        want = signed_influence_matrix(magnetize(lifted, phi.reshape(-1)))
         got = transform._lifted_influence(td, phi)
         # relative to the largest entry; the 1e-15 covers the matrices that
         # are 0 in exact arithmetic (k = 1 on the product tables at beta = 1),
@@ -230,7 +230,7 @@ def test_lifted_influence_matches_dense_oracle(monkeypatch):
         assert rep["pass"] == oracle_rep["pass"]
         # influences lie in [-1, 1], and a row sum adds nk of them
         tol = 1e-12 * d.n * k
-        inf_base = signed_influence_matrix(magnetize(d, FieldAssignment.full(bucket_field_average(phi))))
+        inf_base = signed_influence_matrix(magnetize(d, bucket_field_average(phi)))
         oracle_gaps = transform._violation_gaps(want, inf_base, phi)
         for kind, gaps in zip(("cross", "self", "rowsum"), oracle_gaps):
             top = oracle_rep[f"max_{kind}_violation"]
@@ -251,11 +251,11 @@ def test_k_transform_refuses_lifts_past_the_exact_limit(monkeypatch):
     def no_lift(dist, k):
         raise AssertionError("the lift was built before the capacity check")
 
-    monkeypatch.setenv("GLAB_CAPACITY", "7")
+    monkeypatch.setattr(capacity, "EXACT_LIMIT", 7)
     monkeypatch.setattr(transform, "feasible_lift", no_lift)
     d = random_dist(4, 200)
     with pytest.raises(CapacityError):
         k_transform(d, 2)
     monkeypatch.undo()
-    monkeypatch.setenv("GLAB_CAPACITY", "8")
+    monkeypatch.setattr(capacity, "EXACT_LIMIT", 8)
     assert k_transform(d, 2).states.size == 3 ** 4
