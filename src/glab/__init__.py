@@ -37,7 +37,6 @@ from .factorization import (
     mbf_rhs,
     ubf_chain_constant,
     ubf_check,
-    ubf_kappa_constant,
 )
 from .glauber import (
     compare_identity_check,

@@ -41,7 +41,6 @@ from .factorization import (
     hf_pair,
     ubf_chain_constant,
     ubf_check,
-    ubf_kappa_constant,
 )
 from .glauber import (
     _mixing_bracket,
@@ -373,10 +372,11 @@ def _suite_ubf(model, dist, cfg, inst):
     constants = []
     min_ell = math.ceil(eta + 1.0)
     for ell in range(max(1, min_ell), n + 1):
-        c_kappa = ubf_kappa_constant(n, ell, eta)
+        kappa_ell = kappa(n - ell, n, eta + 1.0)
+        c_kappa = 1.0 / kappa_ell
         constants.append({
             "ell": ell,
-            "kappa": kappa(n - ell, n, eta + 1.0),
+            "kappa": kappa_ell,
             "kappa_binomial": kappa_binomial(n - ell, n, int(math.ceil(eta + 1.0))),
             "constant": c_kappa,
         })

@@ -239,11 +239,21 @@ def total_variation(a: DenseDistribution, b: DenseDistribution) -> float:
     return 0.5 * float(np.sum(np.abs(a.prob - b.prob)))
 
 
-def _boundary_minus(n: int, v: int) -> np.ndarray:
-    """Full index of (boundary b, spin -1 at v) for every boundary b."""
-    if not 0 <= v < n:
+def _site_pairs(
+    dist: DenseDistribution, v: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Site v's view of dist, the one place a site's pairs are formed:
+    for every boundary b (the other sites, packed in increasing order)
+    the full indices minus of (b, spin -1 at v) and plus of (b, spin +1
+    at v), and the table's entries p_minus and p_plus there."""
+    if not 0 <= v < dist.n:
         raise ValueError(f"site {v} out of range")
-    return insert_zero_bit(np.arange(1 << (n - 1), dtype=np.int64), v)
+    # axis 1 of the (bits above v, spin at v, bits below v) view is the
+    # spin at v; taking it first leaves the boundaries in packed order
+    pairs = (-1, 2, 1 << v)
+    minus, plus = np.arange(dist.prob.size).reshape(pairs).transpose(1, 0, 2).reshape(2, -1)
+    p_minus, p_plus = dist.prob.reshape(pairs).transpose(1, 0, 2).reshape(2, -1)
+    return minus, plus, p_minus, p_plus
 
 
 def site_conditional_plus(dist: DenseDistribution, v: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -252,8 +262,7 @@ def site_conditional_plus(dist: DenseDistribution, v: int) -> Tuple[np.ndarray, 
     Boundary b packs the other sites in increasing order; the conditional
     entry is NaN on zero-mass boundaries.
     """
-    full_minus = _boundary_minus(dist.n, v)
-    p_minus, p_plus = dist.prob[full_minus], dist.prob[full_minus | (1 << v)]
+    _, _, p_minus, p_plus = _site_pairs(dist, v)
     mass = p_minus + p_plus
     with np.errstate(invalid="ignore", divide="ignore"):
         cond = np.where(mass > 0, p_plus / np.where(mass > 0, mass, 1.0), np.nan)
@@ -265,11 +274,12 @@ class BoundarySplit:
     """A table's two-point conditionals at site v, one per boundary b.
 
     None of it depends on a function f, so one split serves every f:
-    `mass` covers all 2^(n-1) boundaries, the rest only the boundaries
-    `both` where the conditional is two-point.
+    `mass` and `p_plus` cover all 2^(n-1) boundaries, the rest only the
+    boundaries `both` where the conditional is two-point.
     """
 
     mass: np.ndarray
+    p_plus: np.ndarray   # table entry at (b, spin +1)
     both: np.ndarray
     minus: np.ndarray    # full index of (b, spin -1) on `both`
     plus: np.ndarray     # full index of (b, spin +1) on `both`
@@ -293,22 +303,9 @@ class BoundarySplit:
 
 def boundary_split(dist: DenseDistribution, v: int) -> BoundarySplit:
     """Site v's boundary split of dist (see BoundarySplit)."""
-    full_minus = _boundary_minus(dist.n, v)
-    full_plus = full_minus | (1 << v)
-    p_minus, p_plus = dist.prob[full_minus], dist.prob[full_plus]
+    minus, plus, p_minus, p_plus = _site_pairs(dist, v)
     mass = p_minus + p_plus
     both = (p_minus > 0) & (p_plus > 0)
     m2 = mass[both]
-    return BoundarySplit(mass, both, full_minus[both], full_plus[both],
+    return BoundarySplit(mass, p_plus, both, minus[both], plus[both],
                          (p_minus[both] * p_plus[both]) / (m2 * m2))
-
-
-def site_ment_profile(dist: DenseDistribution, f: FunctionLike, v: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-boundary covariance of (f, log f) under the conditional at v.
-
-    Returns (boundary mass, value) arrays over the 2^(n-1) boundaries.
-    The value at boundary b is q_minus*q_plus*(f_plus-f_minus)*(log f_plus - log f_minus)
-    for the two-point conditional there, 0 when the conditional is degenerate.
-    """
-    split = boundary_split(dist, v)
-    return split.mass, split.ment(as_values(f, dist.n))

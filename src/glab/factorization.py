@@ -143,11 +143,6 @@ def ubf_chain_constant(theta: float, eta: float) -> float:
     return (math.e / theta) ** (eta + 2.0)
 
 
-def ubf_kappa_constant(n: int, ell: int, eta: float) -> float:
-    """1/kappa(n-ell, n, eta+1), the uniform-block constant from contraction."""
-    return 1.0 / kappa(n - ell, n, eta + 1.0)
-
-
 # ---------------------------------------------------------------------------
 # multivariate hypergeometric law over bucket intersections
 
@@ -178,6 +173,11 @@ def _hypergeo_rows(spec: HyperGeoSpec) -> int:
         prefix = list(itertools.accumulate(coeffs))
         coeffs = prefix[:k + 1] + [a - b for a, b in zip(prefix[k + 1:], prefix)]
     return coeffs[-1]
+
+
+# count vectors divided at a time: the Python int and float of each row
+# live only while its chunk is divided
+_PMF_CHUNK_ROWS = 1 << 16
 
 
 def hypergeo_pmf_table(spec: HyperGeoSpec) -> Tuple[np.ndarray, np.ndarray]:
@@ -212,7 +212,9 @@ def hypergeo_pmf_table(spec: HyperGeoSpec) -> Tuple[np.ndarray, np.ndarray]:
     for v in range(n):
         num *= comb[support[:, v]]
     denom = math.comb(n * k, spec.ell)
-    probs = np.array([x / denom for x in num.tolist()], dtype=np.float64)
+    probs = np.empty(num.size)
+    for lo in range(0, num.size, _PMF_CHUNK_ROWS):
+        probs[lo:lo + _PMF_CHUNK_ROWS] = [x / denom for x in num[lo:lo + _PMF_CHUNK_ROWS].tolist()]
     return support, probs
 
 
@@ -503,7 +505,8 @@ def hf_formula(dist: DenseDistribution, k: int, ell: int, f: FunctionLike) -> fl
     if not 1 <= ell <= n * k:
         raise ValueError(f"block size must lie in [1, nk], got {ell}")
     support, probs = hypergeo_pmf_table(HyperGeoSpec(n=n, k=k, ell=ell))
-    return float(np.dot(probs, _magnetized_block_kernel(dist, support, vals, k)))
+    # correctly rounded, so the sum does not follow the BLAS thread count
+    return math.fsum(probs * _magnetized_block_kernel(dist, support, vals, k))
 
 
 def hf_pair(dist: DenseDistribution, k: int, ell: int, f: FunctionLike) -> Tuple[float, float]:

@@ -31,6 +31,7 @@ import numpy as np
 
 from .capacity import MIXING_BYTE_BUDGET, MIXING_STEP_BUDGET, CapacityError
 from .exact import (
+    _site_pairs,
     BoundarySplit,
     DenseDistribution,
     FunctionLike,
@@ -40,7 +41,6 @@ from .exact import (
     magnetize,
     magnetized_partition,
     popcount_table,
-    site_ment_profile,
 )
 from .factorization import CheckReport, superset_sums
 from .model import IsingModel, automorphism_generators, flip_direction
@@ -95,6 +95,22 @@ class TransitionMatrix:
         return np.linalg.eigvalsh(s)
 
 
+def _support_pairs(
+    dist: DenseDistribution,
+) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Per site v, in site order: the support positions s < t of the pairs
+    (sigma with -1 at v, sigma with +1 at v) that lie in the support,
+    ascending in s, and their probabilities p_s and p_t."""
+    # a support state's position is the number of support states below it
+    pos = np.cumsum(dist.prob > 0) - 1
+    out = []
+    for v in range(dist.n):
+        minus, plus, p_minus, p_plus = _site_pairs(dist, v)
+        both = (p_minus > 0) & (p_plus > 0)
+        out.append((pos[minus[both]], pos[plus[both]], p_minus[both], p_plus[both]))
+    return out
+
+
 def transition_matrix(dist: DenseDistribution) -> TransitionMatrix:
     """Exact single-site resampling kernel on the support.
 
@@ -106,60 +122,31 @@ def transition_matrix(dist: DenseDistribution) -> TransitionMatrix:
     import scipy.sparse as sp
 
     n = dist.n
-    support = dist.support_indices.astype(np.int64)
-    m = support.size
-    pos = -np.ones(dist.prob.size, dtype=np.int64)
-    pos[support] = np.arange(m)
-    ps = dist.prob[support]
-
-    rows: List[np.ndarray] = []
-    cols: List[np.ndarray] = []
-    vals: List[np.ndarray] = []
+    ps = dist.prob[dist.support_indices]
+    m = ps.size
+    rows, cols, vals = [np.arange(m)], [np.arange(m)], []
     diag = np.zeros(m)
-    for v in range(n):
-        partner = support ^ (1 << v)
-        pp = dist.prob[partner]
-        move = pp / (ps + pp) / n
-        stay = ps / (ps + pp) / n
+    for s, t, p_s, p_t in _support_pairs(dist):
+        total = p_s + p_t
+        q_s = p_s / total / n    # staying at s, and moving from t to s
+        q_t = p_t / total / n
+        # a state whose site-v neighbor is off the support stays put
+        stay = np.full(m, 1.0 / n)
+        stay[s], stay[t] = q_s, q_t
         diag += stay
-        # neighbors off the support have pp = 0, hence move = 0: no entry
-        ok = pos[partner] >= 0
-        rows.append(np.arange(m)[ok])
-        cols.append(pos[partner][ok])
-        vals.append(move[ok])
-    rows.append(np.arange(m))
-    cols.append(np.arange(m))
-    vals.append(diag)
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
-    w = np.concatenate(vals)
-    matrix = sp.coo_matrix((w, (r, c)), shape=(m, m)).tocsr()
-
+        rows += [s, t]
+        cols += [t, s]
+        vals += [q_t, q_s]
+    entries = (np.concatenate([diag] + vals), (np.concatenate(rows), np.concatenate(cols)))
+    matrix = sp.coo_matrix(entries, shape=(m, m)).tocsr()
     return TransitionMatrix(stationary=ps, matrix=matrix)
 
 
 def _pair_arrays(dist: DenseDistribution) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Support index pairs (s, t) with s < t differing at one site, and
     the edge weight pi(s) P(s,t) of each."""
-    n = dist.n
-    support = dist.support_indices.astype(np.int64)
-    pos = -np.ones(dist.prob.size, dtype=np.int64)
-    pos[support] = np.arange(support.size)
-    ps = dist.prob[support]
-    ii: List[np.ndarray] = []
-    jj: List[np.ndarray] = []
-    ww: List[np.ndarray] = []
-    for v in range(n):
-        partner = support ^ (1 << v)
-        upper = (partner > support) & (pos[partner] >= 0)
-        s_idx = np.arange(support.size)[upper]
-        t_idx = pos[partner[upper]]
-        p_s = ps[s_idx]
-        p_t = ps[t_idx]
-        ww.append(p_s * p_t / (p_s + p_t) / n)
-        ii.append(s_idx)
-        jj.append(t_idx)
-    return np.concatenate(ii), np.concatenate(jj), np.concatenate(ww)
+    s, t, p_s, p_t = (np.concatenate(column) for column in zip(*_support_pairs(dist)))
+    return s, t, p_s * p_t / (p_s + p_t) / dist.n
 
 
 def _support_values(dist: DenseDistribution, f: FunctionLike) -> np.ndarray:
@@ -792,7 +779,8 @@ def compare_identity_check(
 
     log_theta = math.log(theta)
     log_one_minus = math.log1p(-theta)
-    mass, ment = site_ment_profile(pi, vals, v)
+    split = boundary_split(pi, v)
+    mass, ment = split.mass, split.ment(vals)
     plus = popcount_table(n - 1)
 
     # subset-average route: conditioning pi to all plus on R keeps the
@@ -808,16 +796,17 @@ def compare_identity_check(
     return CheckReport.eq(name, instance, lhs, rhs)
 
 
-def _margin_violation(dist: DenseDistribution, pi: DenseDistribution) -> float:
-    from .exact import site_conditional_plus
-
+def _margin_violation(
+    mu_splits: Sequence[BoundarySplit], pi_splits: Sequence[BoundarySplit],
+) -> float:
+    """Largest rise of a site's plus conditional from mu to pi, over the
+    boundaries where both have mass."""
     worst = -math.inf
-    for v in range(dist.n):
-        mass_mu, cond_mu = site_conditional_plus(dist, v)
-        mass_pi, cond_pi = site_conditional_plus(pi, v)
-        both = (mass_mu > 0) & (mass_pi > 0)
+    for mu_v, pi_v in zip(mu_splits, pi_splits):
+        both = (mu_v.mass > 0) & (pi_v.mass > 0)
         if np.any(both):
-            worst = max(worst, float(np.max(cond_pi[both] - cond_mu[both])))
+            rise = pi_v.p_plus[both] / pi_v.mass[both] - mu_v.p_plus[both] / mu_v.mass[both]
+            worst = max(worst, float(np.max(rise)))
     return worst
 
 
@@ -843,11 +832,11 @@ def tensorization_chain_check(
         raise ValueError(f"theta must lie in (0,1), got {theta}")
     pi = magnetize(dist, np.full(dist.n, theta))
     z_pi = magnetized_partition(dist, theta)
-    violation = _margin_violation(dist, pi)
-    monotone_ok = violation <= 1e-12
-    weights = np.exp(-popcount_table(dist.n - 1) * math.log(theta))
     mu_splits = [boundary_split(dist, v) for v in range(dist.n)]
     pi_splits = [boundary_split(pi, v) for v in range(dist.n)]
+    violation = _margin_violation(mu_splits, pi_splits)
+    monotone_ok = violation <= 1e-12
+    weights = np.exp(-popcount_table(dist.n - 1) * math.log(theta))
     out = []
     for f in fs:
         vals = as_values(f, dist.n)

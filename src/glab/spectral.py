@@ -294,7 +294,11 @@ def match_spectra(a: Sequence[complex], b: Sequence[complex]) -> float:
     return float(np.max(cost[rows, cols]))
 
 
-def homog_spectrum_check(dist: DenseDistribution, tol: float = 1e-7) -> dict:
+# largest matching distance homog_spectrum_check passes
+_SPECTRUM_TOL = 1e-7
+
+
+def homog_spectrum_check(dist: DenseDistribution) -> dict:
     """Correlation spectrum of the homogenization vs influence spectrum.
 
     The correlation matrix of the homogenized distribution must have the
@@ -310,8 +314,8 @@ def homog_spectrum_check(dist: DenseDistribution, tol: float = 1e-7) -> dict:
     distance = match_spectra(cor_eigs, expected)
     return {
         "matching_distance": distance,
-        "tolerance": tol,
-        "pass": bool(distance <= tol),
+        "tolerance": _SPECTRUM_TOL,
+        "pass": bool(distance <= _SPECTRUM_TOL),
         "correlation_spectrum": [[z.real, z.imag] for z in np.sort_complex(cor_eigs)],
         "expected_spectrum": [[z.real, z.imag] for z in np.sort_complex(expected)],
     }

@@ -636,12 +636,29 @@ def _bfgs_ratio_and_grad(g, pi, i, j, w):
     return ratio, grad
 
 
+def oracle_pair_arrays(dist):
+    """Brute-force pair list of the chain's edges: for each site v, then
+    each support state s with -1 at v whose flip t at v is in the support,
+    the support positions of s and t and the edge weight pi(s) P(s,t)."""
+    support = [int(x) for x in dist.support_indices]
+    pos = {x: k for k, x in enumerate(support)}
+    ii, jj, ww = [], [], []
+    for v in range(dist.n):
+        for s in support:
+            t = s | (1 << v)
+            if s != t and t in pos:
+                p_s, p_t = dist.prob[s], dist.prob[t]
+                ii.append(pos[s])
+                jj.append(pos[t])
+                ww.append(p_s * p_t / (p_s + p_t) / dist.n)
+    return np.array(ii, dtype=np.int64), np.array(jj, dtype=np.int64), np.array(ww)
+
+
 def oracle_mls_estimate_bfgs(dist, restarts=32, seed=0, label="mls-estimate"):
     """The dense-BFGS multistart ratio search (maxiter 400, mean-centred
     objective, np.add.at gradient), returning (rho_hat, minimizer)."""
     from scipy.optimize import minimize
 
-    from glab.glauber import _pair_arrays
     from glab.rng import derive_generator
 
     support = dist.support_indices
@@ -649,7 +666,7 @@ def oracle_mls_estimate_bfgs(dist, restarts=32, seed=0, label="mls-estimate"):
     if m < 2:
         raise ValueError("ratio minimization needs at least two support states")
     pi = dist.prob[support]
-    i, j, w = _pair_arrays(dist)
+    i, j, w = oracle_pair_arrays(dist)
 
     def objective(g):
         return _bfgs_ratio_and_grad(g, pi, i, j, w)

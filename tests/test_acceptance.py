@@ -140,7 +140,7 @@ def test_criterion_03_homogenized_spectrum(announce):
     bad = []
     for i in range(100):
         d = random_gibbs(2 + i % 3, 5000 + i)
-        rep = homog_spectrum_check(d, tol=1e-7)
+        rep = homog_spectrum_check(d)
         if not rep["pass"]:
             bad.append((i, rep["matching_distance"]))
     announce(3, "homogenized correlation spectrum identity", not bad, 60, str(bad[:3]))

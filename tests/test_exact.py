@@ -8,8 +8,6 @@ from glab.exact import (
     DenseDistribution,
     _kl,
     Pinning,
-    as_values,
-    boundary_split,
     condition,
     entropy_functional,
     entropy_of_values,
@@ -18,7 +16,6 @@ from glab.exact import (
     magnetized_partition,
     marginal,
     site_conditional_plus,
-    site_ment_profile,
     total_variation,
 )
 from glab.model import IsingModel
@@ -188,17 +185,6 @@ def test_site_conditional_plus_matches_brute():
         ok = want_mass > 0
         assert cond[ok] == pytest.approx(want_plus[ok] / want_mass[ok], rel=1e-12)
         assert np.all(np.isnan(cond[~ok]))
-
-
-def test_site_ment_profile_sums_to_expectation():
-    d = random_dist(4, 21)
-    f = random_positive_f(4, 22)
-    for v in range(4):
-        mass, ment = site_ment_profile(d, f, v)
-        assert float(np.dot(mass, ment)) == pytest.approx(
-            boundary_split(d, v).expected_ment(as_values(f, 4)), rel=1e-12, abs=1e-14
-        )
-        assert np.all(ment >= -1e-12)
 
 
 def test_distribution_from_weights_normalizes():

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +38,6 @@ from glab.factorization import (
     ubf_average,
     ubf_chain_constant,
     ubf_check,
-    ubf_kappa_constant,
 )
 
 from oracles import (distribution_from_weights, hypergeo_pmf, hypergeo_sample, hypergeo_support,
@@ -121,7 +124,6 @@ def test_kappa_below_binomial():
 def test_block_constants():
     assert mbf_constant(0.5, 4.0) == pytest.approx((math.e / 0.5) ** 7.0, rel=1e-12)
     assert ubf_chain_constant(0.5, 4.0) == pytest.approx((math.e / 0.5) ** 6.0, rel=1e-12)
-    assert ubf_kappa_constant(6, 5, 4.0) == pytest.approx(1.0 / kappa(1, 6, 5.0), rel=1e-12)
     with pytest.raises(ValueError):
         mbf_constant(0.0, 4.0)
 
@@ -146,6 +148,17 @@ def test_hypergeo_pmf_sums_to_one():
     for n, k, ell in [(2, 2, 2), (3, 3, 4), (4, 2, 5), (2, 10, 7)]:
         _, probs = hypergeo_pmf_table(HyperGeoSpec(n=n, k=k, ell=ell))
         assert float(probs.sum()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_hypergeo_pmf_table_divides_by_chunks(monkeypatch):
+    # chunks of 7 rows give each row's own correctly rounded division
+    spec = HyperGeoSpec(n=4, k=3, ell=6)
+    monkeypatch.setattr(factorization, "_PMF_CHUNK_ROWS", 7)
+    support, probs = hypergeo_pmf_table(spec)
+    denom = math.comb(12, 6)
+    want = [math.prod(math.comb(3, int(a)) for a in row) / denom for row in support]
+    assert support.shape[0] > 3 * 7
+    assert probs.tolist() == want
 
 
 def test_hypergeo_row_count_is_the_table_height():
@@ -363,6 +376,30 @@ def test_hf_direct_equals_formula_small():
             for ell in (1, (n * k) // 2, n * k):
                 direct, formula = hf_pair(d, k, ell, f)
                 assert formula == pytest.approx(direct, rel=1e-10, abs=1e-12)
+
+
+# hf_formula on the 6-star at k = 8, ell = 24 (32,661 count vectors): a
+# long enough mixture that OpenBLAS splits a dot product of it over threads
+HF_CHILD = """
+import numpy as np
+from glab.exact import enumerate_gibbs
+from glab.factorization import hf_formula
+from glab.model import IsingModel, star_edges
+dist = enumerate_gibbs(IsingModel(n=6, edges=star_edges(6), beta=0.9, lam=(2.0, 0.5) * 3))
+f = np.exp(np.random.default_rng(0).normal(0.0, 1.0, size=64))
+print(hf_formula(dist, 8, 24, f).hex())
+"""
+
+
+def test_hf_formula_bits_do_not_follow_blas_threads():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads, "PYTHONPATH": src}
+        out.add(subprocess.run([sys.executable, "-c", HF_CHILD], env=env, check=True,
+                               capture_output=True, text=True).stdout)
+    assert len(out) == 1, out
 
 
 def test_hf_direct_matches_oracle():

@@ -9,12 +9,14 @@ from scipy.sparse.csgraph import connected_components
 from glab.capacity import CapacityError
 from glab.exact import (
     DenseDistribution,
+    boundary_split,
     enumerate_gibbs,
     entropy_functional,
     magnetize,
 )
 from glab.glauber import (
     _mixing_bracket,
+    _pair_arrays,
     compare_identity_check,
     dirichlet_form,
     dirichlet_form_inner,
@@ -40,6 +42,7 @@ from oracles import (
     oracle_compare_subset_route,
     oracle_mixing_bracket,
     oracle_mls_estimate_bfgs,
+    oracle_pair_arrays,
     oracle_pinned_dobrushin_worst,
     oracle_run_chain,
     oracle_step_rows,
@@ -102,6 +105,16 @@ def test_partial_support_stays_put():
 
 # ---------------------------------------------------------------------------
 # Dirichlet forms and the MLS ratio
+
+
+def test_pair_arrays_match_brute_force():
+    # the same pairs, in the same order, with the same weight bits, on
+    # full and partial support
+    for seed in range(4):
+        for d in (random_gibbs(4, seed + 50), random_dist(4, seed + 60, zero_frac=0.4)):
+            for got, want in zip(_pair_arrays(d), oracle_pair_arrays(d)):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
 
 
 def test_dirichlet_single_vertex_value():
@@ -645,7 +658,7 @@ def test_compare_identity_single_site():
     rep = compare_identity_check(d, 0.3, 0, f)
     assert rep.passed
     # both sides equal theta times the site entropy term of the tilted law
-    from glab.exact import as_values, boundary_split, magnetize
+    from glab.exact import as_values
 
     pi = magnetize(d, [0.3])
     assert rep.lhs == pytest.approx(0.3 * boundary_split(pi, 0).expected_ment(as_values(f, 1)),
@@ -668,7 +681,8 @@ def test_margin_monotonicity():
                 fixed = dict(zip(others, boundary))
                 want = max(want, conditional_plus(pi_table, 3, v, fixed)
                            - conditional_plus(mu_table, 3, v, fixed))
-        assert gl._margin_violation(d, pi) == pytest.approx(want, rel=0.0, abs=1e-12)
+        splits = [[boundary_split(table, v) for v in range(3)] for table in (d, pi)]
+        assert gl._margin_violation(*splits) == pytest.approx(want, rel=0.0, abs=1e-12)
         assert want <= 1e-12
 
 

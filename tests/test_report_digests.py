@@ -3,8 +3,9 @@
 `tests/data/report_digests.json` holds, for `glab run --suite all --seed 7`
 on each model of `DIGEST_MODELS`, the digest of every report file but the
 `_meta.json` wall-time side files.  The runs go in a child process with
-one BLAS thread: OpenBLAS sums a long dot product in another order on
-more threads, which moves the last digits of the 6-star's hf reports.
+one BLAS thread, so the digests never rest on how a BLAS library splits
+a product over threads (the hf mixture is summed with math.fsum for the
+same reason).
 Regenerate the file with
 
     PYTHONPATH=src python tests/test_report_digests.py
