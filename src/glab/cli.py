@@ -526,13 +526,14 @@ def _suite_dobrushin(model, dist, cfg, inst):
     n = dist.n
     fs = _functions(n, cfg.batch, cfg.seed, "dobrushin-f")
     a_matrix, bound = dobrushin_bound(dist)
-    checks = dobrushin_mls_check(dist, bound["threshold"], fs, instance=inst)
-    for idx, f in enumerate(fs[:3]):
-        a = dirichlet_form(dist, f)
+    pair = dirichlet_form(dist, fs)
+    checks = dobrushin_mls_check(dist, bound["threshold"], fs, pair, instance=inst)
+    routes = zip(pair, dirichlet_form_sites(dist, fs[:3]), dirichlet_form_inner(dist, fs[:3]))
+    for idx, (a, sites, inner) in enumerate(routes):
         checks.append(CheckReport.eq(f"dirichlet-site-decomposition-f{idx}", inst,
-                                     a, dirichlet_form_sites(dist, f), rel_slack=1e-10))
+                                     a, sites, rel_slack=1e-10))
         checks.append(CheckReport.eq(f"dirichlet-inner-product-f{idx}", inst,
-                                     a, dirichlet_form_inner(dist, f), rel_slack=1e-10))
+                                     a, inner, rel_slack=1e-10))
     payload = {"dobrushin": matrix_report(a_matrix, "dobrushin"), **bound}
     series: Series = [("dobrushin_matrix", None, a_matrix)]
     return checks, payload, series

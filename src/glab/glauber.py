@@ -52,9 +52,11 @@ if TYPE_CHECKING:
 
 EXTREME_FIELD = 1.0 / 500.0
 
-# scipy is imported where it is called: scipy.optimize and scipy.sparse
-# take about 0.6 s and 40 MB to import, and most glab processes (sampling,
-# the hf, walks and lift suites) never call either
+# scipy is imported where it is called, and called only where no numpy
+# route will do: the mixing time (scipy.sparse) and the MLS search
+# (scipy.optimize).  Importing those takes about 0.6 s and 40 MB, and
+# every other glab process (sampling, and every suite but mixing) runs
+# without them.
 _OPTIMIZERS = ("minimize", "minimize_scalar")
 
 
@@ -74,17 +76,42 @@ def __getattr__(name: str):
 @dataclass(frozen=True)
 class TransitionMatrix:
     """Glauber kernel over the support states of a distribution, in
-    ascending configuration index."""
+    ascending configuration index, as CSR arrays: row s holds the entries
+    indices[indptr[s]:indptr[s+1]] (ascending) with values data[...]."""
 
     stationary: np.ndarray       # stationary law over support states
-    matrix: sp.csr_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
 
     @property
     def size(self) -> int:
         return int(self.stationary.size)
 
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        """scipy's CSR matrix as a view over the arrays, for the routes that
+        run a scipy algorithm on the kernel."""
+        import scipy.sparse as sp
+
+        return sp.csr_matrix((self.data, self.indices, self.indptr),
+                             shape=(self.size, self.size), copy=False)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """P @ x for a vector x, each row summed from 0 in index order, as
+        scipy's csr_matvec adds it, so the product has scipy's bits."""
+        lengths = np.diff(self.indptr)
+        out = np.zeros(self.size)
+        for slot in range(int(lengths.max(initial=0))):
+            rows = np.flatnonzero(lengths > slot)
+            k = self.indptr[rows] + slot
+            out[rows] += self.data[k] * x[self.indices[k]]
+        return out
+
     def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
+        out = np.zeros((self.size, self.size))
+        out[np.repeat(np.arange(self.size), np.diff(self.indptr)), self.indices] = self.data
+        return out
 
     def symmetrized_eigenvalues(self) -> np.ndarray:
         """Spectrum via the similar symmetric kernel; real by reversibility."""
@@ -119,8 +146,6 @@ def transition_matrix(dist: DenseDistribution) -> TransitionMatrix:
     A neighbor of zero probability contributes its slot to the diagonal,
     so the chain never leaves the support.
     """
-    import scipy.sparse as sp
-
     n = dist.n
     ps = dist.prob[dist.support_indices]
     m = ps.size
@@ -137,9 +162,15 @@ def transition_matrix(dist: DenseDistribution) -> TransitionMatrix:
         rows += [s, t]
         cols += [t, s]
         vals += [q_t, q_s]
-    entries = (np.concatenate([diag] + vals), (np.concatenate(rows), np.concatenate(cols)))
-    matrix = sp.coo_matrix(entries, shape=(m, m)).tocsr()
-    return TransitionMatrix(stationary=ps, matrix=matrix)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    # every (row, col) is entered once; sorting by it gives scipy's
+    # canonical CSR, with 32-bit indices wherever they fit, as scipy picks
+    order = np.argsort(rows * m + cols, kind="stable")
+    index = np.int32 if max(m, order.size) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(m + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
+    return TransitionMatrix(stationary=ps, indptr=indptr, indices=cols[order].astype(index),
+                            data=np.concatenate([diag] + vals)[order])
 
 
 def _pair_arrays(dist: DenseDistribution) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -157,29 +188,40 @@ def _support_values(dist: DenseDistribution, f: FunctionLike) -> np.ndarray:
     return out
 
 
-def dirichlet_form(dist: DenseDistribution, f: FunctionLike) -> float:
-    """Pair-sum Dirichlet form of (f, log f) along the chain's edges."""
-    fv = _support_values(dist, f)
-    lf = np.log(fv)
+def dirichlet_form(dist: DenseDistribution, fs: Sequence[FunctionLike]) -> List[float]:
+    """Pair-sum Dirichlet form of (f, log f) along the chain's edges, per
+    f; the pair list is built once for all of them."""
     i, j, w = _pair_arrays(dist)
-    return float(np.sum(w * (fv[i] - fv[j]) * (lf[i] - lf[j])))
+    out = []
+    for f in fs:
+        fv = _support_values(dist, f)
+        lf = np.log(fv)
+        out.append(float(np.sum(w * (fv[i] - fv[j]) * (lf[i] - lf[j]))))
+    return out
 
 
-def dirichlet_form_sites(dist: DenseDistribution, f: FunctionLike) -> float:
-    """Site decomposition: mean over sites of the expected conditional
-    covariance of (f, log f) at that site."""
-    vals = as_values(f, dist.n)
-    total = math.fsum(boundary_split(dist, v).expected_ment(vals) for v in range(dist.n))
-    return total / dist.n
+def dirichlet_form_sites(dist: DenseDistribution, fs: Sequence[FunctionLike]) -> List[float]:
+    """Site decomposition, per f: mean over sites of the expected
+    conditional covariance of (f, log f) at that site.  Each site's
+    boundary split is built once for all the functions."""
+    splits = [boundary_split(dist, v) for v in range(dist.n)]
+    out = []
+    for f in fs:
+        vals = as_values(f, dist.n)
+        out.append(math.fsum(split.expected_ment(vals) for split in splits) / dist.n)
+    return out
 
 
-def dirichlet_form_inner(dist: DenseDistribution, f: FunctionLike) -> float:
-    """Inner-product form <f, (I - P) log f> under the stationary law."""
-    fv = _support_values(dist, f)
-    lf = np.log(fv)
+def dirichlet_form_inner(dist: DenseDistribution, fs: Sequence[FunctionLike]) -> List[float]:
+    """Inner-product form <f, (I - P) log f> under the stationary law, per
+    f; the kernel is built once for all of them."""
     tm = transition_matrix(dist)
-    plog = tm.matrix @ lf
-    return float(np.sum(tm.stationary * fv * (lf - plog)))
+    out = []
+    for f in fs:
+        fv = _support_values(dist, f)
+        lf = np.log(fv)
+        out.append(float(np.sum(tm.stationary * fv * (lf - tm.apply(lf)))))
+    return out
 
 
 @dataclass(frozen=True)
@@ -372,11 +414,12 @@ def _mixing_bracket(dist: DenseDistribution, eps: float) -> Tuple[int, np.ndarra
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0,1)")
     tm = transition_matrix(dist)
-    classes = connected_components(tm.matrix, directed=False, return_labels=False)
+    matrix = tm.matrix
+    classes = connected_components(matrix, directed=False, return_labels=False)
     if classes > 1:
         raise RuntimeError(f"chain is reducible: its kernel splits the support into "
                            f"{classes} classes, so it never mixes")
-    step_op = tm.matrix.T.tocsr()
+    step_op = matrix.T.tocsr()
     reps = orbit_representatives(dist)
     t_mix, tvs, margin = _step_rows(tm, step_op, reps, eps)
     if margin < _ORBIT_MARGIN and reps.size < tm.size:
@@ -659,10 +702,11 @@ def dobrushin_bound(dist: DenseDistribution) -> Tuple[np.ndarray, dict]:
 
 def dobrushin_mls_check(
     dist: DenseDistribution, threshold: Optional[float], fs: Sequence[FunctionLike],
-    instance: str = "",
+    forms: Sequence[float], instance: str = "",
 ) -> List[CheckReport]:
     """threshold * Ent[f] <= Dirichlet form of (f, log f), per f, for
-    the threshold of dobrushin_bound.
+    the threshold of dobrushin_bound; forms[i] is the Dirichlet form of
+    fs[i] (dirichlet_form).
 
     When the contraction norm reaches 1 (threshold None) the bound
     asserts nothing; a single vacuous report says so instead of raising.
@@ -671,9 +715,8 @@ def dobrushin_mls_check(
     if threshold is None:
         return [CheckReport.skipped(name, instance, "not applicable: contraction norm >= 1")]
     return [CheckReport.le(name, instance, threshold * entropy_functional(dist, f),
-                           dirichlet_form(dist, f), threshold, witness=f"f[{idx}]",
-                           abs_slack=1e-9)
-            for idx, f in enumerate(fs)]
+                           form, threshold, witness=f"f[{idx}]", abs_slack=1e-9)
+            for idx, (f, form) in enumerate(zip(fs, forms, strict=True))]
 
 
 # ---------------------------------------------------------------------------

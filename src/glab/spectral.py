@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -277,12 +277,63 @@ def homogenized_faces(n: int, states: np.ndarray) -> np.ndarray:
     return states | ((~states & ((1 << n) - 1)) << n)
 
 
-def match_spectra(a: Sequence[complex], b: Sequence[complex]) -> float:
-    """Max pairing distance between two same-size eigenvalue multisets."""
-    # imported where used: scipy.optimize takes about 0.6 s to import, and
-    # most glab processes never match a spectrum
-    from scipy.optimize import linear_sum_assignment
+def _min_sum_assignment(cost: np.ndarray) -> List[int]:
+    """Column of each row in an assignment of least total cost: the
+    Hungarian method with row and column potentials, O(N^3) for an N x N
+    cost.  Refuses a cost that is not square or not finite."""
+    cost = np.asarray(cost, dtype=np.float64)
+    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
+        raise ValueError(f"need a square cost matrix, got shape {cost.shape}")
+    if not np.all(np.isfinite(cost)):
+        raise ValueError("cost matrix has NaN or infinite entries")
+    size = cost.shape[0]
+    rows = cost.tolist()
+    # 1-based: column 0 is a virtual column that holds the row being
+    # placed; owner[j] is the row on column j (0 while it is free)
+    u = [0.0] * (size + 1)
+    v = [0.0] * (size + 1)
+    owner = [0] * (size + 1)
+    prev = [0] * (size + 1)
+    for i in range(1, size + 1):
+        owner[0] = i
+        j0 = 0
+        slack = [math.inf] * (size + 1)
+        used = [False] * (size + 1)
+        # grow a tree of tight edges from row i until it reaches a free column
+        while owner[j0]:
+            used[j0] = True
+            i0 = owner[j0]
+            row, ui = rows[i0 - 1], u[i0]
+            delta, j1 = math.inf, 0
+            for j in range(1, size + 1):
+                if not used[j]:
+                    reduced = row[j - 1] - ui - v[j]
+                    if reduced < slack[j]:
+                        slack[j], prev[j] = reduced, j0
+                    if slack[j] < delta:
+                        delta, j1 = slack[j], j
+            for j in range(size + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        # augment along the tree back to the virtual column
+        while j0:
+            j1 = prev[j0]
+            owner[j0] = owner[j1]
+            j0 = j1
+    out = [0] * size
+    for j in range(1, size + 1):
+        out[owner[j] - 1] = j - 1
+    return out
 
+
+def match_spectra(a: Sequence[complex], b: Sequence[complex]) -> float:
+    """Largest gap |a_i - b_j| in a pairing of two same-size eigenvalue
+    multisets that minimizes the summed gaps.  This is not the bottleneck
+    distance, which minimizes the largest gap itself."""
     av = np.asarray(a, dtype=np.complex128)
     bv = np.asarray(b, dtype=np.complex128)
     if av.size != bv.size:
@@ -290,8 +341,8 @@ def match_spectra(a: Sequence[complex], b: Sequence[complex]) -> float:
     if av.size == 0:
         return 0.0
     cost = np.abs(av[:, None] - bv[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(np.max(cost[rows, cols]))
+    cols = _min_sum_assignment(cost)
+    return float(np.max(cost[np.arange(av.size), cols]))
 
 
 # largest matching distance homog_spectrum_check passes

@@ -140,6 +140,26 @@ def oracle_si_sup_estimate(dist, config):
     return est, pairs
 
 
+def oracle_min_sum_total(cost):
+    """Least total of an assignment of rows to columns, by scipy's
+    linear_sum_assignment."""
+    from scipy.optimize import linear_sum_assignment
+
+    rows, cols = linear_sum_assignment(cost)
+    return float(np.sum(cost[rows, cols]))
+
+
+def oracle_match_spectra(a, b):
+    """Largest gap in the pairing of least summed gaps that scipy's
+    linear_sum_assignment finds."""
+    from scipy.optimize import linear_sum_assignment
+
+    cost = np.abs(np.asarray(a, dtype=np.complex128)[:, None]
+                  - np.asarray(b, dtype=np.complex128)[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(np.max(cost[rows, cols]))
+
+
 def hypergeo_support(spec):
     """All count vectors a with sum ell and 0 <= a_v <= k, lexicographic."""
 
@@ -612,7 +632,7 @@ def mls_ratio(dist, f):
     ent = entropy_functional(dist, f)
     if ent <= 0:
         raise ValueError("entropy of f vanishes; the ratio is undefined")
-    return dirichlet_form(dist, f) / ent
+    return dirichlet_form(dist, [f])[0] / ent
 
 
 def _bfgs_ratio_and_grad(g, pi, i, j, w):

@@ -236,10 +236,10 @@ def test_criterion_09_dirichlet_routes(announce):
         n = 2 + i % 3
         d = random_gibbs(n, 11_000 + i) if i % 2 else random_dist(n, 11_000 + i)
         f = random_positive_f(n, 11_500 + i)
-        pair = dirichlet_form(d, f)
-        for name, other in (
-            ("sites", dirichlet_form_sites(d, f)),
-            ("inner", dirichlet_form_inner(d, f)),
+        [pair] = dirichlet_form(d, [f])
+        for name, [other] in (
+            ("sites", dirichlet_form_sites(d, [f])),
+            ("inner", dirichlet_form_inner(d, [f])),
         ):
             if abs(pair - other) > 1e-10 * max(abs(pair), abs(other), 1e-300):
                 bad.append((i, name, pair, other))
@@ -347,7 +347,7 @@ def test_criterion_13_dobrushin_mls(announce):
     assert len(dists) == 10
     for i, (d, threshold) in enumerate(dists):
         fs = [random_positive_f(d.n, 16_000 + 100 * i + j) for j in range(100)]
-        for j, rep in enumerate(dobrushin_mls_check(d, threshold, fs)):
+        for j, rep in enumerate(dobrushin_mls_check(d, threshold, fs, dirichlet_form(d, fs))):
             if not rep.passed or (rep.witness and "not applicable" in rep.witness):
                 bad.append((i, j, rep.lhs, rep.rhs))
     announce(13, "contraction norm lower bound on the entropy ratio", not bad, 60, str(bad[:3]))

@@ -9,7 +9,9 @@ from scipy.sparse.csgraph import connected_components
 from glab.capacity import CapacityError
 from glab.exact import (
     DenseDistribution,
+    Pinning,
     boundary_split,
+    condition,
     enumerate_gibbs,
     entropy_functional,
     magnetize,
@@ -103,6 +105,26 @@ def test_partial_support_stays_put():
     assert np.allclose(tm.dense(), np.eye(2))
 
 
+def test_kernel_product_bits_match_scipy():
+    # full, pinned and zero-field tables, and a one-state support: P @ x
+    # in numpy is scipy's csr_matvec bit for bit
+    gen = np.random.default_rng(5)
+    tables = [DenseDistribution(2, np.array([0.0, 0.0, 1.0, 0.0]))]
+    for n, edges in ((5, cycle_edges), (6, star_edges), (4, complete_edges)):
+        full = enumerate_gibbs(IsingModel(n=n, edges=edges(n), beta=0.7,
+                                          lam=tuple((2.0, 0.5, 1.5)[v % 3] for v in range(n))))
+        tables += [full, condition(full, Pinning((0,), (1,))),
+                   magnetize(full, np.r_[np.ones(n - 1), 0.0])]
+    for d in tables:
+        tm = transition_matrix(d)
+        matrix = tm.matrix
+        assert np.array_equal(tm.dense(), matrix.toarray())
+        for x in (gen.normal(size=tm.size), np.log(gen.random(tm.size))):
+            got, want = tm.apply(x), matrix @ x
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Dirichlet forms and the MLS ratio
 
@@ -120,16 +142,16 @@ def test_pair_arrays_match_brute_force():
 def test_dirichlet_single_vertex_value():
     d = uniform_distribution(1)
     f = np.array([1.0, math.e])
-    assert dirichlet_form(d, f) == pytest.approx((math.e - 1) / 4, rel=1e-12)
+    assert dirichlet_form(d, [f]) == pytest.approx([(math.e - 1) / 4], rel=1e-12)
 
 
 def test_dirichlet_routes_agree():
     for seed in range(8):
         d = random_gibbs(3, seed + 20)
-        f = random_positive_f(3, seed + 30)
-        a = dirichlet_form(d, f)
-        assert dirichlet_form_sites(d, f) == pytest.approx(a, rel=1e-10, abs=1e-13)
-        assert dirichlet_form_inner(d, f) == pytest.approx(a, rel=1e-10, abs=1e-13)
+        fs = [random_positive_f(3, seed + 30), random_positive_f(3, seed + 40)]
+        a = dirichlet_form(d, fs)
+        assert dirichlet_form_sites(d, fs) == pytest.approx(a, rel=1e-10, abs=1e-13)
+        assert dirichlet_form_inner(d, fs) == pytest.approx(a, rel=1e-10, abs=1e-13)
 
 
 def test_mls_ratio_scale_invariant():
@@ -779,7 +801,7 @@ def test_dobrushin_mls_inequality():
     d = enumerate_gibbs(SINGLE_EDGE)
     fs = [random_positive_f(2, s) for s in range(10)]
     thr = dobrushin_bound(d)[1]["threshold"]
-    reps = dobrushin_mls_check(d, thr, fs)
+    reps = dobrushin_mls_check(d, thr, fs, dirichlet_form(d, fs))
     assert len(reps) == 10
     assert all(r.passed for r in reps)
     for f, rep in zip(fs, reps):
@@ -795,7 +817,8 @@ def test_dobrushin_not_applicable():
     assert bound["contraction_norm"] >= 1.0
     assert bound["threshold"] is None
     assert bound["alpha"] == marginal_lower_bound(d)
-    reps = dobrushin_mls_check(d, bound["threshold"], [random_positive_f(4, 1)])
+    fs = [random_positive_f(4, 1)]
+    reps = dobrushin_mls_check(d, bound["threshold"], fs, dirichlet_form(d, fs))
     assert len(reps) == 1
     assert reps[0].passed
     assert "not applicable" in reps[0].witness
@@ -873,4 +896,4 @@ def test_verification_flags_out_of_interior():
 def test_dirichlet_nonnegative(seed):
     d = random_dist(3, seed)
     f = random_positive_f(3, seed + 1)
-    assert dirichlet_form(d, f) >= -1e-12
+    assert dirichlet_form(d, [f])[0] >= -1e-12

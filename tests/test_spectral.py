@@ -17,8 +17,8 @@ from glab.spectral import (
     signed_influence_matrix,
 )
 
-from oracles import (oracle_correlation, oracle_dobrushin, oracle_influence, oracle_si_sup_estimate,
-                     uniform_distribution)
+from oracles import (oracle_correlation, oracle_dobrushin, oracle_influence, oracle_match_spectra,
+                     oracle_min_sum_total, oracle_si_sup_estimate, uniform_distribution)
 from util import random_dist, random_gibbs, regime_grid
 
 
@@ -78,6 +78,36 @@ def test_matrix_report_norms():
 def test_match_spectra_zero_on_identical():
     eigs = np.array([1.0 + 0j, 0.5 + 0j, -0.25 + 0j])
     assert match_spectra(eigs, eigs.copy()) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_min_sum_assignment_matches_scipy_totals():
+    gen = np.random.default_rng(2024)
+    for size in list(range(21)) * 4:
+        cost = gen.random((size, size))
+        if size > 2 and gen.random() < 0.5:
+            # tied columns: several pairings reach the least total
+            cost[:, gen.integers(size, size=size // 2)] = cost[:, :size // 2]
+        cols = spectral._min_sum_assignment(cost)
+        assert sorted(cols) == list(range(size))
+        assert float(np.sum(cost[np.arange(size), cols])) == oracle_min_sum_total(cost)
+
+
+def test_min_sum_assignment_refuses_bad_costs():
+    for cost in (np.zeros((2, 3)), np.zeros(4), np.array([[0.0, np.nan], [1.0, 2.0]]),
+                 np.array([[0.0, np.inf], [1.0, 2.0]])):
+        with pytest.raises(ValueError):
+            spectral._min_sum_assignment(cost)
+
+
+def test_match_spectra_bits_match_scipy_on_regime_grid():
+    for _, model in regime_grid():
+        d = enumerate_gibbs(model)
+        n = d.n
+        cor = spectral._correlation(next(spectral._site_moments(homogenize(d),
+                                                                np.zeros((1, 2 * n))))[0])
+        a = np.linalg.eigvals(cor)
+        b = np.concatenate([np.linalg.eigvals(signed_influence_matrix(d)) + 1.0, np.zeros(n)])
+        assert match_spectra(a, b).hex() == oracle_match_spectra(a, b).hex()
 
 
 def test_homogenize_structure():
