@@ -28,21 +28,17 @@ from .factorization import (
     hf_formula,
     hf_pair,
     hypergeo_concentration,
-    hypergeo_concentration_check,
     kappa,
     kappa_binomial,
     lbf_convergence,
-    mbf_check,
     mbf_constant,
     mbf_rhs,
     ubf_chain_constant,
-    ubf_check,
 )
 from .glauber import (
     compare_identity_check,
     dirichlet_form,
     dobrushin_bound,
-    dobrushin_mls_check,
     mixing_time_exact,
     mls_estimate,
     mls_mixing_bound,
@@ -81,9 +77,7 @@ from .transform import (
 )
 from .walks import (
     build_levels,
-    entropy_contraction_check,
     homogenized_levels,
-    local_entropy_decay_check,
     ubf_ed_identity,
     ubf_ed_identity_check,
     uniform_slice_levels,

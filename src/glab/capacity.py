@@ -57,6 +57,11 @@ BLOCK_PAIR_BUDGET = 2 ** 30
 PMF_TABLE_BYTE_BUDGET = 2 ** 32
 
 
+# Field vectors one si_sup_estimate call may evaluate: its product grid
+# of grid_points^n vectors plus its random draws.
+MAX_FIELD_VECTORS = 100_000
+
+
 class CapacityError(Exception):
     """Raised when a request exceeds the exact-enumeration budget."""
 

@@ -25,22 +25,25 @@ from . import __version__
 from .capacity import CapacityError
 from .exact import (
     DenseDistribution,
+    Pinning,
     enumerate_gibbs,
+    entropy_functional,
+    entropy_of_values,
     magnetized_partition,
+    total_variation,
 )
 from .factorization import (
     CheckReport,
-    hypergeo_concentration_check,
     HyperGeoSpec,
+    hypergeo_concentration,
     kappa,
     kappa_binomial,
     lbf_convergence,
-    mbf_check,
     mbf_constant,
     mbf_rhs,
     hf_pair,
+    ubf_average,
     ubf_chain_constant,
-    ubf_check,
 )
 from .glauber import (
     _mixing_bracket,
@@ -48,7 +51,6 @@ from .glauber import (
     dirichlet_form_inner,
     dirichlet_form_sites,
     dobrushin_bound,
-    dobrushin_mls_check,
     mixing_time_exact,
     MLS_METHOD,
     MlsEstimate,
@@ -75,29 +77,14 @@ from .transform import (
     pinning_pushforward_pair,
     star_pushforward,
 )
-from .exact import Pinning, total_variation
 from .walks import (
-    entropy_contraction_check,
     homogenized_law,
     homogenized_levels,
     kl_by_level,
     level_distribution,
-    local_entropy_decay_check,
+    level_entropy,
     ubf_ed_identity_check,
     uniform_slice_levels,
-)
-
-SUITES = (
-    "influence",
-    "ktransform",
-    "ubf",
-    "mbf",
-    "hf",
-    "walks",
-    "compare",
-    "dobrushin",
-    "verification",
-    "mixing",
 )
 
 
@@ -367,7 +354,8 @@ def _suite_ubf(model, dist, cfg, inst):
     n = dist.n
     eta = 2.0 / cfg.delta
     fs = _functions(n, cfg.batch, cfg.seed, "ubf-f")
-    checks.extend(ubf_check(dist, n, 1.0, fs, instance=inst, name=f"ubf-ell-{n}-unit"))
+    checks.extend(_block_checks(f"ubf-ell-{n}-unit", inst, dist, 1.0, fs,
+                                lambda f: ubf_average(dist, n, f)))
 
     constants = []
     min_ell = math.ceil(eta + 1.0)
@@ -380,8 +368,8 @@ def _suite_ubf(model, dist, cfg, inst):
             "kappa_binomial": kappa_binomial(n - ell, n, int(math.ceil(eta + 1.0))),
             "constant": c_kappa,
         })
-        checks.extend(ubf_check(dist, ell, c_kappa, fs[:2], instance=inst,
-                                name=f"ubf-ell-{ell}-kappa"))
+        checks.extend(_block_checks(f"ubf-ell-{ell}-kappa", inst, dist, c_kappa, fs[:2],
+                                    lambda f: ubf_average(dist, ell, f)))
 
     for grid_n in (8, 12, 16):
         for theta_p in (0.4, 0.5, 0.75):
@@ -399,10 +387,18 @@ def _suite_mbf(model, dist, cfg, inst):
     eta = 2.0 / cfg.delta
     constant = mbf_constant(cfg.theta, eta)
     fs = _functions(dist.n, cfg.batch, cfg.seed, "mbf-f")
-    checks = mbf_check(dist, cfg.theta, constant, fs, instance=inst)
+    checks = _block_checks("magnetized-block-factorization", inst, dist, constant, fs,
+                           lambda f: mbf_rhs(dist, cfg.theta, f))
     payload = {"theta": cfg.theta, "eta": eta, "constant": constant,
                "z_pi": magnetized_partition(dist, cfg.theta)}
     return checks, payload, []
+
+
+def _block_checks(name, inst, dist, constant, fs, value) -> List[CheckReport]:
+    """Ent[f] <= constant * value(f), one check per f, f[i] its witness."""
+    return [CheckReport.le(name, inst, entropy_functional(dist, f), constant * value(f), constant,
+                           witness=f"f[{idx}]")
+            for idx, f in enumerate(fs)]
 
 
 def _suite_hf(model, dist, cfg, inst):
@@ -474,16 +470,20 @@ def _suite_walks(model, dist, cfg, inst):
 
 def _walk_checks(levels, mu, seed, label, name, inst) -> List[CheckReport]:
     """Divergence contraction of a seeded nu against mu, and entropy decay
-    of a seeded f under mu, at every inner level."""
+    of a seeded f under mu, at every inner level j: each at most
+    1 - kappa(j, k, 1) times its value at the top."""
     nu = _normalized(mu * np.exp(derive_generator(seed, f"{label}-nu").normal(size=mu.size)))
     f = np.exp(derive_generator(seed, f"{label}-f").normal(size=mu.size))
+    k = levels.k
+    kl = kl_by_level(levels, mu, nu)
+    ent_top = entropy_of_values(mu, f)
     checks: List[CheckReport] = []
-    for j in range(1, levels.k):
-        checks.append(entropy_contraction_check(
-            levels, mu, nu, j, alpha=1.0, instance=inst, name=f"{name}-contraction-j{j}"))
-        checks.append(local_entropy_decay_check(
-            levels, mu, f, j, contraction=kappa(j, levels.k, 1.0), instance=inst,
-            name=f"{name}-entropy-decay-j{j}"))
+    for j in range(1, k):
+        factor = 1.0 - kappa(j, k, 1.0)
+        checks.append(CheckReport.le(f"{name}-contraction-j{j}", inst, kl[k - j],
+                                     factor * kl[0], factor))
+        checks.append(CheckReport.le(f"{name}-entropy-decay-j{j}", inst,
+                                     level_entropy(levels, mu, f, j), factor * ent_top, factor))
     return checks
 
 
@@ -527,7 +527,15 @@ def _suite_dobrushin(model, dist, cfg, inst):
     fs = _functions(n, cfg.batch, cfg.seed, "dobrushin-f")
     a_matrix, bound = dobrushin_bound(dist)
     pair = dirichlet_form(dist, fs)
-    checks = dobrushin_mls_check(dist, bound["threshold"], fs, pair, instance=inst)
+    # threshold * Ent[f] <= Dirichlet form of (f, log f); a contraction
+    # norm of 1 or more leaves no threshold and asserts nothing
+    threshold, name = bound["threshold"], "dobrushin-ratio-lower-bound"
+    if threshold is None:
+        checks = [CheckReport.skipped(name, inst, "not applicable: contraction norm >= 1")]
+    else:
+        checks = [CheckReport.le(name, inst, threshold * entropy_functional(dist, f), form,
+                                 threshold, witness=f"f[{idx}]", abs_slack=1e-9)
+                  for idx, (f, form) in enumerate(zip(fs, pair))]
     routes = zip(pair, dirichlet_form_sites(dist, fs[:3]), dirichlet_form_inner(dist, fs[:3]))
     for idx, (a, sites, inner) in enumerate(routes):
         checks.append(CheckReport.eq(f"dirichlet-site-decomposition-f{idx}", inst,
@@ -542,9 +550,11 @@ def _suite_dobrushin(model, dist, cfg, inst):
 def _suite_verification(model, dist, cfg, inst):
     checks, payload = verification_bounds_check(model, cfg.delta, instance=inst)
     spec = HyperGeoSpec(n=max(2, min(model.n, 4)), k=20, ell=20)
-    checks += [hypergeo_concentration_check(spec, eps, instance=inst,
-                                            name=f"hypergeo-tail-eps{eps}")
-               for eps in (0.2, 0.3, 0.5)]
+    # buckets are exchangeable (equal capacity k), so bucket 0 carries the
+    # common marginal
+    for eps in (0.2, 0.3, 0.5):
+        tail, bound = hypergeo_concentration(spec, 0, eps)
+        checks.append(CheckReport.le(f"hypergeo-tail-eps{eps}", inst, tail, bound, constant=2.0))
     return checks, payload, []
 
 
@@ -600,6 +610,7 @@ _SUITE_FUNCS = {
     "verification": _suite_verification,
     "mixing": _suite_mixing,
 }
+SUITES = tuple(_SUITE_FUNCS)
 
 
 def _write_reports(out: Path, result: SuiteResult, series: Series) -> None:

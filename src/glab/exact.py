@@ -28,13 +28,6 @@ def popcount_table(n: int) -> np.ndarray:
     return acc
 
 
-def insert_zero_bit(indices: np.ndarray, v: int) -> np.ndarray:
-    """Map indices over n-1 sites to full indices with bit v cleared."""
-    low = indices & ((1 << v) - 1)
-    high = (indices >> v) << (v + 1)
-    return low | high
-
-
 @dataclass(frozen=True)
 class DenseDistribution:
     """Probability table over {-1,+1}^n, bit-packed indexing.

@@ -15,8 +15,10 @@ Three ways of spreading Ent[f] over conditioned sub-instances:
 
 The module also carries the contraction factor kappa used by the
 down-up-walk entropy decay bounds (in both of its published forms, which
-disagree; see kappa and kappa_binomial), and the CheckReport record that
-every verification routine in the package emits.
+disagree; see kappa and kappa_binomial), and CheckReport, the record of
+one check.  The cli suites build their checks from the values computed
+here; a library routine returns checks only where it decides a compound
+verdict, or where perfbench traces it by name (perfbench/spec.py).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .capacity import BLOCK_PAIR_BUDGET, EXACT_LIMIT, PMF_TABLE_BYTE_BUDGET, CapacityError
-from .exact import DenseDistribution, FunctionLike, _xlogx, as_values, entropy_functional
+from .exact import DenseDistribution, FunctionLike, _xlogx, as_values
 from .transform import digit_outer_sum, feasible_lift
 
 DEFAULT_REL_SLACK = 1e-9
@@ -238,19 +240,6 @@ def hypergeo_concentration(spec: HyperGeoSpec, v: int, eps: float) -> Tuple[floa
     return float(tail), 2.0 * math.exp(-2.0 * eps * eps * spec.k)
 
 
-def hypergeo_concentration_check(
-    spec: HyperGeoSpec, eps: float, instance: str = "",
-    name: str = "hypergeometric-concentration",
-) -> CheckReport:
-    """Exact tail of a bucket's normalized count vs 2 exp(-2 eps^2 k).
-
-    Buckets are exchangeable (equal capacity k), so bucket 0 carries the
-    common marginal.
-    """
-    tail, bound = hypergeo_concentration(spec, 0, eps)
-    return CheckReport.le(name, instance, tail, bound, constant=2.0)
-
-
 # ---------------------------------------------------------------------------
 # superset sums and conditional-entropy aggregation
 
@@ -378,23 +367,6 @@ def ubf_average(dist: DenseDistribution, ell: int, f: FunctionLike) -> float:
     return _lift_block_average(dist, 1, ell, f)
 
 
-def ubf_check(
-    dist: DenseDistribution,
-    ell: int,
-    constant: float,
-    fs: Sequence[FunctionLike],
-    instance: str = "",
-    name: str = "uniform-block-factorization",
-) -> List[CheckReport]:
-    """Ent[f] <= constant * (average block entropy), one report per f."""
-    out = []
-    for idx, f in enumerate(fs):
-        lhs = entropy_functional(dist, f)
-        rhs = constant * ubf_average(dist, ell, f)
-        out.append(CheckReport.le(name, instance, lhs, rhs, constant, witness=f"f[{idx}]"))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # magnetized block factorization
 
@@ -444,29 +416,14 @@ def mbf_rhs(dist: DenseDistribution, theta: float, f: FunctionLike) -> float:
     where pi is the uniformly theta-magnetized distribution, R collects
     each site independently with probability 1-theta, and zero-probability
     all-plus events contribute nothing.  Unfolding pi and E_R leaves the
-    block kernel at the uniform field theta.
+    block kernel at the uniform field theta.  It is E[Ent of f given R]
+    under the down step of field dynamics, which keeps each plus site of
+    sigma ~ dist with probability 1-theta as R.
     """
     if not 0 < theta < 1:
         raise ValueError(f"theta must lie in (0,1), got {theta}")
     vals = as_values(f, dist.n)
     return float(_magnetized_block_kernel(dist, np.full((1, dist.n), theta), vals)[0])
-
-
-def mbf_check(
-    dist: DenseDistribution,
-    theta: float,
-    constant: float,
-    fs: Sequence[FunctionLike],
-    instance: str = "",
-) -> List[CheckReport]:
-    """Ent[f] <= constant * mbf_rhs, one report per f."""
-    out = []
-    for idx, f in enumerate(fs):
-        lhs = entropy_functional(dist, f)
-        rhs = constant * mbf_rhs(dist, theta, f)
-        out.append(CheckReport.le("magnetized-block-factorization", instance, lhs, rhs, constant,
-                                  witness=f"f[{idx}]"))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ from .exact import (
     FunctionLike,
     as_values,
     boundary_split,
-    entropy_functional,
     magnetize,
     magnetized_partition,
     popcount_table,
@@ -700,25 +699,6 @@ def dobrushin_bound(dist: DenseDistribution) -> Tuple[np.ndarray, dict]:
     return a, {"contraction_norm": s, "alpha": alpha, "threshold": threshold}
 
 
-def dobrushin_mls_check(
-    dist: DenseDistribution, threshold: Optional[float], fs: Sequence[FunctionLike],
-    forms: Sequence[float], instance: str = "",
-) -> List[CheckReport]:
-    """threshold * Ent[f] <= Dirichlet form of (f, log f), per f, for
-    the threshold of dobrushin_bound; forms[i] is the Dirichlet form of
-    fs[i] (dirichlet_form).
-
-    When the contraction norm reaches 1 (threshold None) the bound
-    asserts nothing; a single vacuous report says so instead of raising.
-    """
-    name = "dobrushin-ratio-lower-bound"
-    if threshold is None:
-        return [CheckReport.skipped(name, instance, "not applicable: contraction norm >= 1")]
-    return [CheckReport.le(name, instance, threshold * entropy_functional(dist, f),
-                           form, threshold, witness=f"f[{idx}]", abs_slack=1e-9)
-            for idx, (f, form) in enumerate(zip(fs, forms, strict=True))]
-
-
 # ---------------------------------------------------------------------------
 # end-to-end verification of the extreme-field bounds
 
@@ -763,11 +743,12 @@ def verification_bounds_check(
     chi = flip_direction(model)
     phi = np.where(chi == 1, EXTREME_FIELD, 1.0 / EXTREME_FIELD)
     extreme = magnetize(base, phi)
+    if not extreme.full_support():
+        raise ValueError("marginal lower bound needs a fully supported distribution")
 
-    alpha = marginal_lower_bound(extreme)
+    a, bound = dobrushin_bound(extreme)
+    alpha = bound["alpha"]
     alpha_bound = c_hyp / 2e4
-
-    a = np.abs(dobrushin_matrix(extreme))
     worst_norm = max(float(np.max(np.sum(a, axis=0))), float(np.max(np.sum(a, axis=1))))
 
     mu_min = base.min_support_prob

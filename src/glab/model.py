@@ -258,13 +258,13 @@ def parse_model(obj: dict) -> IsingModel:
         raise ValueError(f"n must be an integer, got {n!r}")
     lam = obj["lambda"]
     if isinstance(lam, (int, float)) and not isinstance(lam, bool):
-        lam_arr = np.full(n, float(lam))
+        lam = float(lam)  # IsingModel broadcasts it once n is checked
     elif isinstance(lam, list):
-        lam_arr = np.asarray([float(x) for x in lam], dtype=np.float64)
+        lam = [float(x) for x in lam]
     else:
         raise ValueError("lambda must be a number or a list of numbers")
     return IsingModel(n=n, edges=tuple(tuple(e) for e in obj["edges"]),
-                      beta=float(obj["beta"]), lam=lam_arr)
+                      beta=float(obj["beta"]), lam=lam)
 
 
 def load_model(path: str) -> IsingModel:

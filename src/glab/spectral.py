@@ -26,8 +26,8 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .capacity import CapacityError
-from .exact import DenseDistribution, insert_zero_bit, site_conditional_plus
+from .capacity import MAX_FIELD_VECTORS, CapacityError
+from .exact import DenseDistribution, site_conditional_plus
 
 # Byte bound on one chunk of the moment kernel: a chunk of states holds at
 # most its (states, 2n(n+1)) pair columns, a chunk of field rows its
@@ -141,8 +141,6 @@ def dobrushin_matrix(dist: DenseDistribution) -> np.ndarray:
     """
     n = dist.n
     out = np.zeros((n, n))
-    if n == 1:
-        return out
     for v in range(n):
         mass, cond = site_conditional_plus(dist, v)
         if np.any(mass <= 0):
@@ -150,14 +148,10 @@ def dobrushin_matrix(dist: DenseDistribution) -> np.ndarray:
                 f"boundary of site {v} has zero-mass configurations; "
                 "Dobrushin conditionals are undefined"
             )
-        half = np.arange(1 << (n - 2), dtype=np.int64)
-        for u in range(n):
-            if u == v:
-                continue
-            upos = u if u < v else u - 1
-            b_minus = insert_zero_bit(half, upos)
-            b_plus = b_minus | (1 << upos)
-            out[u, v] = float(np.max(np.abs(cond[b_plus] - cond[b_minus])))
+        # boundary bit i is the i-th other site, axis n-2-i of the cube
+        cube = cond.reshape((2,) * (n - 1))
+        for i, u in enumerate(w for w in range(n) if w != v):
+            out[u, v] = np.max(np.abs(np.diff(cube, axis=n - 2 - i)))
     return out
 
 
@@ -189,11 +183,9 @@ def matrix_report(matrix: np.ndarray, label: str) -> dict:
     }
 
 
-# The range of every sampled field value, and the most field vectors one
-# si_sup_estimate call evaluates.
+# The range of every sampled field value.
 FIELD_LO = 1e-3
 FIELD_HI = 1e3
-MAX_FIELD_VECTORS = 100_000
 
 
 @dataclass(frozen=True)

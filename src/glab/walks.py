@@ -9,10 +9,12 @@ walk U(j->k) regrows a face proportionally to mu.  Averaging a test
 function up gives its level versions f^(j), which coincide with the
 density of (mu f) against mu at every level mu reaches.
 
-Entropy and divergence contract at rate kappa along the walk; the checks
-here verify that contraction, its data-processing monotonicity, and the
-identity expressing uniform-block entropy averages as differences of
-level entropies of the homogenized distribution.
+Entropy and divergence contract at rate kappa along the walk.  The
+walks suite checks that contraction on two values computed here: the
+divergence of two laws pushed down to each level (kl_by_level) and the
+entropy of a function's level version (level_entropy).  The module also
+checks the identity expressing uniform-block entropy averages as
+differences of level entropies of the homogenized distribution.
 
 A level structure is built from its top faces alone: for a homogenization
 these are the 2^n faces of spectral.homogenized_faces, so the only limit
@@ -32,7 +34,7 @@ import numpy as np
 
 from .capacity import LEVEL_BYTE_BUDGET, CapacityError
 from .exact import DenseDistribution, FunctionLike, _kl, as_values, entropy_of_values
-from .factorization import CheckReport, kappa, ubf_average
+from .factorization import CheckReport, ubf_average
 from .spectral import homogenized_faces
 
 # Bytes per (top face, subface) pair, the unit of a level structure's
@@ -184,56 +186,13 @@ def up_matrix(levels: Levels, mu: np.ndarray, j: int) -> np.ndarray:
     return np.divide(out, sums, out=out, where=sums > 0)
 
 
-def lift_level_function(levels: Levels, mu: np.ndarray, f_top: np.ndarray, j: int) -> np.ndarray:
-    """f^(j) = up-walk average under mu of the top function; 0 on the
-    level-j faces mu does not reach."""
+def level_entropy(levels: Levels, mu: np.ndarray, f_top: np.ndarray, j: int) -> float:
+    """Entropy under mu's level-j law of f^(j), the up-walk average under
+    mu of the top function (0 on the level-j faces mu does not reach)."""
     den = _level_sums(levels, mu, j)
     num = _level_sums(levels, np.asarray(mu) * np.asarray(f_top), j)
-    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-
-
-def entropy_contraction_check(
-    levels: Levels,
-    mu: np.ndarray,
-    nu_top: np.ndarray,
-    j: int,
-    alpha: float,
-    instance: str = "",
-    name: str = "down-walk-divergence-contraction",
-) -> CheckReport:
-    """KL(nu || mu) at level j <= (1 - kappa(j, k, 1/alpha)) * KL at the top.
-
-    alpha is the log-concavity parameter of the generating polynomial of
-    mu; the caller is responsible for it being valid.
-    """
-    nu_top, mu = np.asarray(nu_top, dtype=np.float64), np.asarray(mu, dtype=np.float64)
-    if any(abs(float(np.sum(p)) - 1.0) > 1e-9 or np.any(p < 0) for p in (nu_top, mu)):
-        raise ValueError("nu_top and mu must be probability vectors")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    factor = 1.0 - kappa(j, levels.k, 1.0 / alpha)
-    kl_top = _kl(nu_top, mu)
-    kl_j = _kl(level_distribution(levels, nu_top, j), level_distribution(levels, mu, j))
-    return CheckReport.le(name, instance, kl_j, factor * kl_top, factor)
-
-
-def local_entropy_decay_check(
-    levels: Levels,
-    mu: np.ndarray,
-    f_top: np.ndarray,
-    j: int,
-    contraction: float,
-    instance: str = "",
-    name: str = "down-walk-entropy-decay",
-) -> CheckReport:
-    """Ent under mu at level j of f^(j) <= (1 - contraction) * Ent at the top."""
-    if not 0.0 <= contraction <= 1.0:
-        raise ValueError("contraction must lie in [0, 1]")
-    factor = 1.0 - contraction
-    ent_top = entropy_of_values(mu, f_top)
-    ent_j = entropy_of_values(level_distribution(levels, mu, j),
-                              lift_level_function(levels, mu, f_top, j))
-    return CheckReport.le(name, instance, ent_j, factor * ent_top, factor)
+    f_j = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    return entropy_of_values(den / math.comb(levels.k, j), f_j)
 
 
 def kl_by_level(levels: Levels, mu: np.ndarray, nu_top: np.ndarray) -> List[float]:
@@ -259,11 +218,7 @@ def ubf_ed_identity(
     lhs = ubf_average(dist, j, f)
 
     f_top = as_values(f, n)[_configurations(levels, n)]
-    ent_top = entropy_of_values(mu, f_top)
-    ent_low = entropy_of_values(
-        level_distribution(levels, mu, n - j), lift_level_function(levels, mu, f_top, n - j)
-    )
-    return lhs, ent_top - ent_low
+    return lhs, entropy_of_values(mu, f_top) - level_entropy(levels, mu, f_top, n - j)
 
 
 def ubf_ed_identity_check(

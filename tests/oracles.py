@@ -367,6 +367,38 @@ def oracle_mbf_rhs(dist, theta, f):
     return z_pi / theta ** n * total
 
 
+def oracle_field_dynamics_entropy(dist, theta, f):
+    """E[Ent of f given R] under the down step of field dynamics FD_theta.
+
+    The down step keeps each plus site of sigma ~ dist with probability
+    1-theta, forming R; the up step resamples from pi_theta (dist with
+    the field theta at every site) conditioned to all plus on R.  Lists
+    every sigma and R within the plus sites of sigma with the weight
+    mu(sigma) (1-theta)^|R| theta^(|plus(sigma)| - |R|), groups the
+    weights by R, and sums each group's mass times the entropy of f under
+    the group's normalized law.
+    """
+    n = dist.n
+    vals = np.asarray(f, dtype=np.float64)
+    groups = {}
+    for sigma, p in enumerate(dist.prob):
+        plus = [v for v in range(n) if (sigma >> v) & 1]
+        for size in range(len(plus) + 1):
+            for kept in combinations(plus, size):
+                r = sum(1 << v for v in kept)
+                w = p * (1.0 - theta) ** size * theta ** (len(plus) - size)
+                groups.setdefault(r, []).append((w, vals[sigma]))
+    total = 0.0
+    for pairs in groups.values():
+        mass = sum(w for w, _ in pairs)
+        if mass <= 0.0:
+            continue
+        mean = sum(w * x for w, x in pairs) / mass
+        mean_xlogx = sum(w * x * math.log(x) for w, x in pairs if x > 0) / mass
+        total += mass * (mean_xlogx - mean * math.log(mean))
+    return total
+
+
 def oracle_hf_direct(dist, k, ell, f):
     """The uniform-block average of the k-copy lift, block by block.
 

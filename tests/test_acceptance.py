@@ -16,14 +16,14 @@ import pytest
 from glab.exact import (
     DenseDistribution,
     enumerate_gibbs,
+    entropy_functional,
     magnetize,
 )
 from glab.factorization import (
+    CheckReport,
     HyperGeoSpec,
-    hypergeo_concentration_check,
-    kappa,
+    hypergeo_concentration,
     lbf_convergence,
-    mbf_check,
     mbf_constant,
     mbf_rhs,
 )
@@ -33,7 +33,6 @@ from glab.glauber import (
     dirichlet_form_inner,
     dirichlet_form_sites,
     dobrushin_bound,
-    dobrushin_mls_check,
     mixing_time_exact,
     tensorization_chain_check,
     verification_bounds_check,
@@ -47,10 +46,8 @@ from glab.spectral import (
 )
 from glab.transform import k_transform, ktrans_influence_check, lifted_entropy_identity
 from glab.walks import (
-    entropy_contraction_check,
     homogenized_law,
     homogenized_levels,
-    local_entropy_decay_check,
     ubf_ed_identity_check,
     uniform_slice_levels,
 )
@@ -59,7 +56,7 @@ from oracles import (distribution_from_weights, hypergeo_pmf, hypergeo_sample,
                      oracle_compare_subset_route, oracle_correlation, oracle_dobrushin,
                      oracle_influence)
 from util import (family_edges, interior_model, random_dist, random_gibbs, random_positive_f,
-                  regime_grid)
+                  regime_grid, walk_contraction_failures)
 
 
 @pytest.fixture
@@ -199,9 +196,10 @@ def test_criterion_07_magnetized_factorization(announce):
         model = interior_model(fam, n, 900 + pos, delta=delta)
         d = enumerate_gibbs(model)
         fs = [random_positive_f(n, 9000 + 1000 * pos + j) for j in range(250)]
-        for j, rep in enumerate(mbf_check(d, theta, constant, fs)):
-            if not rep.passed:
-                bad.append((fam, n, j, rep.lhs, rep.rhs))
+        for j, f in enumerate(fs):
+            lhs, rhs = entropy_functional(d, f), constant * mbf_rhs(d, theta, f)
+            if not CheckReport.le("", "", lhs, rhs).passed:
+                bad.append((fam, n, j, lhs, rhs))
     announce(7, "magnetized block factorization of entropy", not bad, 300, str(bad[:3]))
 
 
@@ -275,13 +273,8 @@ def test_criterion_10_walk_contraction(announce):
             nu = nu / nu.sum()
             f = np.exp(np.random.default_rng(13_500 + draw).normal(size=mu.size))
             draw += 1
-            for j in range(1, levels.k):
-                if not entropy_contraction_check(levels, mu, nu, j, alpha=1.0).passed:
-                    bad.append((label, rep_i, j, "contraction"))
-                if not local_entropy_decay_check(
-                    levels, mu, f, j, contraction=kappa(j, levels.k, 1.0)
-                ).passed:
-                    bad.append((label, rep_i, j, "decay"))
+            bad += [(label, rep_i, j, kind)
+                    for j, kind in walk_contraction_failures(levels, mu, nu, f)]
     assert draw >= 100
     for i in range(4):
         n = 2 + i % 3
@@ -318,7 +311,8 @@ def test_criterion_11_hypergeometric(announce):
     for k in (5, 10, 20, 50):
         spec = HyperGeoSpec(n=3, k=k, ell=k)
         for eps in (0.1, 0.2, 0.3, 0.5):
-            if not hypergeo_concentration_check(spec, eps).passed:
+            tail, bound = hypergeo_concentration(spec, 0, eps)
+            if not CheckReport.le("", "", tail, bound).passed:
                 bad.append(("tail", k, eps))
     announce(11, "hypergeometric law, sampler, and tails", not bad, 120, str(bad[:3]))
 
@@ -347,9 +341,10 @@ def test_criterion_13_dobrushin_mls(announce):
     assert len(dists) == 10
     for i, (d, threshold) in enumerate(dists):
         fs = [random_positive_f(d.n, 16_000 + 100 * i + j) for j in range(100)]
-        for j, rep in enumerate(dobrushin_mls_check(d, threshold, fs, dirichlet_form(d, fs))):
-            if not rep.passed or (rep.witness and "not applicable" in rep.witness):
-                bad.append((i, j, rep.lhs, rep.rhs))
+        for j, (f, form) in enumerate(zip(fs, dirichlet_form(d, fs))):
+            lhs = threshold * entropy_functional(d, f)
+            if not CheckReport.le("", "", lhs, form, abs_slack=1e-9).passed:
+                bad.append((i, j, lhs, form))
     announce(13, "contraction norm lower bound on the entropy ratio", not bad, 60, str(bad[:3]))
 
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import tempfile
@@ -13,6 +14,7 @@ from glab.cli import (
     RunConfig,
     SUITES,
     _level_rows,
+    _suite_dobrushin,
     emit_series,
     json_17g,
     main,
@@ -20,7 +22,7 @@ from glab.cli import (
     run_suite,
 )
 from glab.exact import enumerate_gibbs
-from glab.model import IsingModel, cycle_edges, model_to_json, star_edges
+from glab.model import IsingModel, complete_edges, cycle_edges, model_to_json, star_edges
 
 MODEL = IsingModel(n=3, edges=cycle_edges(3), beta=0.8, lam=(0.5, 1.0, 2.0))
 
@@ -595,10 +597,57 @@ def test_run_suite_rejects_unknown():
 
 
 def test_all_known_suites_registered():
-    assert set(SUITES) == {
-        "influence", "ktransform", "ubf", "mbf", "hf", "walks",
-        "compare", "dobrushin", "verification", "mixing",
-    }
+    # `all` runs them, and its report lists their checks, in this order
+    assert SUITES == ("influence", "ktransform", "ubf", "mbf", "hf", "walks",
+                      "compare", "dobrushin", "verification", "mixing")
+
+
+def test_dobrushin_suite_skips_without_a_threshold():
+    # K4 at beta 8: the contraction norm reaches 1, so the ratio bound
+    # asserts nothing and one skipped check says so
+    model = IsingModel(n=4, edges=complete_edges(4), beta=8.0, lam=(1.0,) * 4)
+    cfg = RunConfig(command="dobrushin", model_path="", seed=7)
+    checks, payload, _ = _suite_dobrushin(model, enumerate_gibbs(model), cfg, "k4")
+    assert payload["threshold"] is None
+    ratio = [c for c in checks if c.name == "dobrushin-ratio-lower-bound"]
+    assert [c.to_json() for c in ratio] == [
+        {"name": "dobrushin-ratio-lower-bound", "instance": "k4", "lhs": 0.0, "rhs": 0.0,
+         "constant": 0.0, "pass": True, "witness": "not applicable: contraction norm >= 1"}]
+    assert all(c.passed for c in checks)
+
+
+def _check_builders(tree):
+    """(enclosing function, line) of every CheckReport(...) call and
+    every .le/.eq/.skipped call in a module's syntax tree."""
+    out = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if ((isinstance(func, ast.Name) and func.id == "CheckReport")
+                    or (isinstance(func, ast.Attribute)
+                        and func.attr in ("le", "eq", "skipped"))):
+                out.append((owner, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return out
+
+
+def test_only_the_suites_and_compound_verdicts_build_checks():
+    # a suite names and builds its checks; a library routine returns one
+    # only when it decides a compound verdict or is traced by name
+    allowed = {"tensorization_chain_check", "_change_base_report",
+               "verification_bounds_check", "ubf_ed_identity_check", "compare_identity_check"}
+    builders = {}
+    for path in sorted(Path(glab.__file__).parent.glob("*.py")):
+        if path.name != "cli.py":
+            for owner, line in _check_builders(ast.parse(path.read_text())):
+                builders.setdefault(owner, []).append(f"{path.name}:{line}")
+    assert set(builders) == allowed, builders
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +699,9 @@ def test_cli_refuses_values_outside_their_domain(tmp_path, model_file, args, mes
 @pytest.mark.parametrize("text, message", [
     (json.dumps({**model_to_json(MODEL), "delta": 0.3}), "unknown model fields: ['delta']"),
     ("n = 3", "Expecting value: line 1 column 1 (char 0)"),
-], ids=["delta", "not-json"])
+    (json.dumps({"n": -1, "edges": [], "beta": 1.0, "lambda": 2.0}),
+     "need at least one vertex, got n=-1"),
+], ids=["delta", "not-json", "no-sites"])
 @pytest.mark.parametrize("command", [["run", "--suite", "all"], ["sample", "--steps", "3"],
                                      ["mix"]], ids=["run", "sample", "mix"])
 def test_cli_refuses_a_model_file_it_cannot_read(tmp_path, command, text, message):

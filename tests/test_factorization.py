@@ -12,11 +12,13 @@ from hypothesis import given, settings, strategies as st
 from glab.exact import (
     Pinning,
     condition,
+    enumerate_gibbs,
     entropy_functional,
     magnetize,
     magnetized_partition,
 )
 import glab.factorization as factorization
+from glab.cli import _block_checks
 from glab.capacity import CapacityError
 from glab.factorization import (
     CheckReport,
@@ -25,23 +27,21 @@ from glab.factorization import (
     hf_formula,
     hf_pair,
     hypergeo_concentration,
-    hypergeo_concentration_check,
     hypergeo_pmf_table,
     kappa,
     kappa_binomial,
     lbf_convergence,
-    mbf_check,
     mbf_constant,
     mbf_rhs,
     subset_conditional_entropy,
     superset_sums,
     ubf_average,
     ubf_chain_constant,
-    ubf_check,
 )
+from glab.model import IsingModel, complete_edges, cycle_edges, path_edges, star_edges
 
 from oracles import (distribution_from_weights, hypergeo_pmf, hypergeo_sample, hypergeo_support,
-                     oracle_hf_direct, oracle_mbf_rhs)
+                     oracle_field_dynamics_entropy, oracle_hf_direct, oracle_mbf_rhs)
 from util import random_dist, random_gibbs, random_positive_f, regime_grid
 
 
@@ -234,8 +234,9 @@ def test_hypergeo_concentration_tail():
         tail, bound = hypergeo_concentration(spec, 0, eps)
         assert 0.0 <= tail <= 1.0
         assert tail <= bound + 1e-12
-    rep = hypergeo_concentration_check(spec, 0.25)
-    assert rep.passed
+        # buckets are exchangeable, so bucket 0 carries the common marginal
+        for v in range(1, spec.n):
+            assert hypergeo_concentration(spec, v, eps) == (tail, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +291,7 @@ def test_ubf_full_block_is_equality():
     f = random_positive_f(3, 42)
     avg = ubf_average(d, 3, f)
     assert avg == pytest.approx(entropy_functional(d, f), rel=1e-12)
-    reps = ubf_check(d, 3, 1.0, [f])
-    assert reps[0].passed
-    assert abs(reps[0].lhs - reps[0].rhs) < 1e-12
+    assert abs(avg - entropy_functional(d, f)) < 1e-12
 
 
 def test_ubf_product_single_site_blocks():
@@ -307,16 +306,19 @@ def test_ubf_product_single_site_blocks():
 
     d = distribution_from_weights(w)
     fs = [random_positive_f(3, s) for s in range(6)]
-    reps = ubf_check(d, 1, 3.0, fs)
-    assert all(r.passed for r in reps)
+    for f in fs:
+        assert CheckReport.le("", "", entropy_functional(d, f), 3.0 * ubf_average(d, 1, f)).passed
 
 
 def test_ubf_negative_control():
+    # the ubf suite's check fails at a constant far too small, naming f
     d = random_gibbs(3, 44)
     f = random_positive_f(3, 45)
-    reps = ubf_check(d, 1, 1e-6, [f])
-    assert not reps[0].passed
-    assert reps[0].witness == "f[0]"
+    [rep] = _block_checks("ubf", "", d, 1e-6, [f], lambda g: ubf_average(d, 1, g))
+    assert not rep.passed
+    assert rep.witness == "f[0]"
+    assert (rep.lhs, rep.rhs, rep.constant) == (entropy_functional(d, f),
+                                                1e-6 * ubf_average(d, 1, f), 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +338,6 @@ def test_mbf_rhs_single_site():
 
 
 def test_mbf_rhs_against_oracle():
-    from glab.exact import enumerate_gibbs
-
     dists = [enumerate_gibbs(model) for _, model in regime_grid()]
     dists += [random_dist(n, 90 + n, zero_frac=0.3) for n in (3, 4, 5)]
     for d in dists:
@@ -346,23 +346,44 @@ def test_mbf_rhs_against_oracle():
             assert mbf_rhs(d, theta, f) == pytest.approx(oracle_mbf_rhs(d, theta, f), rel=1e-12)
 
 
-def test_mbf_check_passes_in_regime():
+FIELD_DYNAMICS_MODELS = {
+    "cycle4": IsingModel(n=4, edges=cycle_edges(4), beta=0.6, lam=(2.0, 0.5) * 2),
+    "star5": IsingModel(n=5, edges=star_edges(5), beta=0.9, lam=(2.0, 0.5, 2.0, 0.5, 2.0)),
+    "k5": IsingModel(n=5, edges=complete_edges(5), beta=1.3, lam=(1.0,) * 5),
+    "cycle6": IsingModel(n=6, edges=cycle_edges(6), beta=0.6, lam=(2.0, 0.5) * 3),
+    "path3": IsingModel(n=3, edges=path_edges(3), beta=0.8, lam=(0.5, 1.0, 2.0)),
+}
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.5, 0.75])
+@pytest.mark.parametrize("name", sorted(FIELD_DYNAMICS_MODELS))
+def test_mbf_rhs_is_the_field_dynamics_down_step_entropy(name, theta):
+    # mbf_rhs is E[Ent(f | R)] under the down step of field dynamics,
+    # the down-up walk the magnetized-block factorization speaks about
+    d = enumerate_gibbs(FIELD_DYNAMICS_MODELS[name])
+    f = random_positive_f(d.n, 93)
+    want = oracle_field_dynamics_entropy(d, theta, f)
+    assert mbf_rhs(d, theta, f) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_mbf_holds_in_regime():
     from util import interior_model
-    from glab.exact import enumerate_gibbs
 
     model = interior_model("cycle", 4, 3, delta=0.5)
     d = enumerate_gibbs(model)
     c = mbf_constant(0.5, 2.0 / 0.5)
     fs = [random_positive_f(4, s) for s in range(8)]
-    reps = mbf_check(d, 0.5, c, fs)
-    assert all(r.passed for r in reps)
+    for f in fs:
+        assert CheckReport.le("", "", entropy_functional(d, f), c * mbf_rhs(d, 0.5, f)).passed
 
 
 def test_mbf_negative_control():
+    # the mbf suite's checks fail at a constant far too small, each naming its f
     d = random_gibbs(3, 61)
-    f = random_positive_f(3, 62)
-    reps = mbf_check(d, 0.5, 1e-6, [f])
-    assert not reps[0].passed
+    fs = [random_positive_f(3, 62), random_positive_f(3, 63)]
+    reps = _block_checks("mbf", "", d, 1e-6, fs, lambda g: mbf_rhs(d, 0.5, g))
+    assert [(rep.passed, rep.witness) for rep in reps] == [(False, "f[0]"), (False, "f[1]")]
+    assert reps[1].rhs == 1e-6 * mbf_rhs(d, 0.5, fs[1])
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +424,6 @@ def test_hf_formula_bits_do_not_follow_blas_threads():
 
 
 def test_hf_direct_matches_oracle():
-    from glab.exact import enumerate_gibbs
-
     dists = [enumerate_gibbs(model) for _, model in regime_grid()]
     dists += [random_dist(n, 110 + n, zero_frac=0.3) for n in range(2, 6)]
     for d in dists:

@@ -16,6 +16,7 @@ from glab.exact import (
     entropy_functional,
     magnetize,
 )
+from glab.factorization import CheckReport
 from glab.glauber import (
     _mixing_bracket,
     _pair_arrays,
@@ -24,7 +25,6 @@ from glab.glauber import (
     dirichlet_form_inner,
     dirichlet_form_sites,
     dobrushin_bound,
-    dobrushin_mls_check,
     marginal_lower_bound,
     mixing_time_exact,
     mls_estimate,
@@ -720,7 +720,6 @@ def test_tensorization_chain_fails_on_any_failing_vertex(monkeypatch):
     # CheckReport.le's slack is relative: vertex 0 has the larger gap and
     # passes at scale 1, vertex 1 has the smaller gap and fails at 1e-3
     import glab.glauber as gl
-    from glab.factorization import CheckReport
 
     pairs = [(1.0 + 5e-10, 1.0), (1e-3 + 1e-10, 1e-3)]
 
@@ -801,11 +800,8 @@ def test_dobrushin_mls_inequality():
     d = enumerate_gibbs(SINGLE_EDGE)
     fs = [random_positive_f(2, s) for s in range(10)]
     thr = dobrushin_bound(d)[1]["threshold"]
-    reps = dobrushin_mls_check(d, thr, fs, dirichlet_form(d, fs))
-    assert len(reps) == 10
-    assert all(r.passed for r in reps)
-    for f, rep in zip(fs, reps):
-        assert rep.lhs == pytest.approx(thr * entropy_functional(d, f), rel=1e-12)
+    for f, form in zip(fs, dirichlet_form(d, fs)):
+        assert CheckReport.le("", "", thr * entropy_functional(d, f), form, abs_slack=1e-9).passed
 
 
 def test_dobrushin_not_applicable():
@@ -817,11 +813,6 @@ def test_dobrushin_not_applicable():
     assert bound["contraction_norm"] >= 1.0
     assert bound["threshold"] is None
     assert bound["alpha"] == marginal_lower_bound(d)
-    fs = [random_positive_f(4, 1)]
-    reps = dobrushin_mls_check(d, bound["threshold"], fs, dirichlet_form(d, fs))
-    assert len(reps) == 1
-    assert reps[0].passed
-    assert "not applicable" in reps[0].witness
 
 
 def test_dobrushin_bound_without_full_support():
@@ -889,6 +880,16 @@ def test_verification_flags_out_of_interior():
     model = IsingModel(n=3, edges=cycle_edges(3), beta=0.1, lam=(1.0,) * 3)
     _, rep = verification_bounds_check(model, 0.5)
     assert not rep["in_interior"]
+
+
+@pytest.mark.parametrize("beta", [1e80, 1e200])
+def test_verification_needs_full_support(beta):
+    # the weights of the disagreeing states underflow to 0: at 1e80 the
+    # Dobrushin norm reaches 1 and asks for no marginal bound, at 1e200
+    # some boundaries have no mass; either way bound (1) is undefined
+    model = IsingModel(n=4, edges=cycle_edges(4), beta=beta, lam=(1.0,) * 4)
+    with pytest.raises(ValueError, match="fully supported"):
+        verification_bounds_check(model, 0.5)
 
 
 @given(st.integers(min_value=0, max_value=200))

@@ -90,6 +90,19 @@ def test_parse_model_rejects_delta():
         parse_model({"n": 2, "edges": [], "beta": 1.0, "lambda": [1, 1], "delta": 0.3})
 
 
+@pytest.mark.parametrize("n", [-1, 0])
+@pytest.mark.parametrize("lam", [2.0, [2.0]], ids=["scalar", "list"])
+def test_parse_model_without_sites_gets_the_model_message(n, lam):
+    # a scalar lambda is broadcast only once n is known to be positive
+    with pytest.raises(ValueError, match=f"need at least one vertex, got n={n}"):
+        parse_model({"n": n, "edges": [], "beta": 1.0, "lambda": lam})
+
+
+def test_scalar_lambda_is_broadcast():
+    m = parse_model({"n": 3, "edges": [[0, 1]], "beta": 1.0, "lambda": 2})
+    assert m.lam.tolist() == [2.0, 2.0, 2.0]
+
+
 def same_model(a, b):
     return (
         a.n == b.n

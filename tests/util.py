@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from glab.exact import DenseDistribution, enumerate_gibbs
+from glab.exact import DenseDistribution, enumerate_gibbs, entropy_of_values
+from glab.factorization import CheckReport, kappa
 from glab.model import (
     IsingModel,
     complete_edges,
@@ -10,6 +11,7 @@ from glab.model import (
     path_edges,
     star_edges,
 )
+from glab.walks import kl_by_level, level_entropy
 
 FAMILIES = ("path", "cycle", "star", "complete")
 
@@ -89,3 +91,21 @@ def regime_grid():
             lam = tuple(lam_pool[(len(out) + t) % len(lam_pool)] for t in range(n))
             out.append((fam, IsingModel(n=n, edges=family_edges(fam, n), beta=beta, lam=lam)))
     return out
+
+
+def walk_contraction_failures(levels, mu, nu, f):
+    """The inner levels j at which the divergence of nu from mu, or the
+    entropy of f's level version under mu, is above 1 - kappa(j, k, 1)
+    times its top value, with the walks suite's slack: a list of
+    (j, "contraction" or "decay")."""
+    k = levels.k
+    kl = kl_by_level(levels, mu, nu)
+    ent_top = entropy_of_values(mu, f)
+    bad = []
+    for j in range(1, k):
+        factor = 1.0 - kappa(j, k, 1.0)
+        if not CheckReport.le("", "", kl[k - j], factor * kl[0]).passed:
+            bad.append((j, "contraction"))
+        if not CheckReport.le("", "", level_entropy(levels, mu, f, j), factor * ent_top).passed:
+            bad.append((j, "decay"))
+    return bad
